@@ -53,7 +53,7 @@ func readLoadPass(name string, template []sim.Reading, tags, perClone, clients i
 		QueueSize:   4096,
 		RetryAfter:  2 * time.Millisecond,
 	}, st, countSink{&solved})
-	h := serve.NewServer(st, nil, nil).Wrap(ingest.NewServer(d, st).Handler())
+	h := serve.NewServer(st, nil, nil).Wrap(ingest.NewServer(d).Handler())
 
 	var (
 		readRep  serve.ReadReport

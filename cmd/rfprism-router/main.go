@@ -1,5 +1,5 @@
 // Command rfprism-router fronts a fleet of rfprismd shards: it
-// consistent-hashes every report's EPC onto a shard, fans POST /ingest
+// consistent-hashes every report's EPC onto a shard, fans POST /v1/ingest
 // NDJSON out per-EPC with resume-line backpressure, scatter-gathers
 // GET /v1/tags and /v1/tags/{epc} (degrading to partial results when a
 // shard is down), and aggregates /metrics and /readyz across the

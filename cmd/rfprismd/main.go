@@ -5,13 +5,13 @@
 //
 // Report sources:
 //
-//   - HTTP: POST /ingest with NDJSON, one sim.Reading JSON object per
+//   - HTTP: POST /v1/ingest with NDJSON, one sim.Reading JSON object per
 //     line — the shape an Octane-subscription bridge would emit.
 //   - Replay: -replay synthesizes a seeded multi-tag interleaved
 //     stream from the bundled simulator; -replay-file feeds a recorded
 //     NDJSON report file. Both honor the daemon's backpressure.
 //
-// Results flow to an in-memory ring (GET /tags/{epc}) and optionally
+// Results flow to the snapshot store (GET /v1/tags/{epc}) and optionally
 // an NDJSON file (-out). /healthz (liveness), /readyz (readiness) and
 // /metrics expose queue depths, window-close reasons, solver latency,
 // degraded-window counts and the crash-safety state. SIGINT/SIGTERM
@@ -127,7 +127,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.queue, "queue", 64, "closed-window queue capacity")
 	fs.IntVar(&o.parallelism, "parallelism", 0, "solver workers (0: GOMAXPROCS)")
 	fs.DurationVar(&o.retryAfter, "retry-after", time.Second, "backpressure pause advertised to clients")
-	fs.IntVar(&o.ring, "ring", 16, "results kept per tag for /tags queries")
+	fs.IntVar(&o.ring, "ring", 16, "results kept per tag for /v1/tags queries")
 	fs.StringVar(&o.out, "out", "", "NDJSON results file (\"-\": stdout)")
 	fs.BoolVar(&o.replay, "replay", false, "replay a simulated multi-tag stream")
 	fs.StringVar(&o.replayFile, "replay-file", "", "replay a recorded NDJSON report file")
@@ -233,9 +233,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	rfprism.WithTracer(rfprism.MultiTracer(tracers...))(sys)
 
-	// The epoch-swapped snapshot store replaces the legacy RingSink as
-	// the query backend: Emit is a short mutex + append, readers load
-	// one atomic pointer, and the swapper decouples the two.
+	// The epoch-swapped snapshot store backs every read: Emit is a short
+	// mutex + append, readers load one atomic pointer, and the swapper
+	// decouples the two.
 	store := serve.NewStore(serve.StoreConfig{
 		History:      o.ring,
 		SwapInterval: o.swapInterval,
@@ -296,9 +296,9 @@ func run(args []string, stdout io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	// The serve tier fronts the API: SSE/long-poll subscriptions plus
-	// per-client limits, with plain reads falling through to the ingest
-	// server against the same snapshot store.
+	// The serve tier fronts the API: every tag read (plain, long-poll,
+	// SSE) plus per-client limits, with ingest, health and metrics
+	// falling through to the ingest server.
 	var lim *serve.Limiter
 	if o.readRate > 0 || o.maxStreams > 0 {
 		lim = serve.NewLimiter(serve.LimiterConfig{
@@ -320,7 +320,7 @@ func run(args []string, stdout io.Writer) error {
 		// Slow-loris protection: bound the header dribble and reap idle
 		// keep-alives (in-flight SSE streams are unaffected).
 		httpSrv = &http.Server{
-			Handler:           streamSrv.Wrap(ingest.NewServer(d, store).Handler()),
+			Handler:           streamSrv.Wrap(ingest.NewServer(d).Handler()),
 			ReadHeaderTimeout: 10 * time.Second,
 			IdleTimeout:       2 * time.Minute,
 		}

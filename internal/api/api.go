@@ -197,16 +197,3 @@ func WriteError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 		RetryAfterMS: retryAfter.Milliseconds(),
 	})
 }
-
-// Deprecated wraps the unversioned alias of a /v1 handler: responses
-// gain a "Deprecation: true" header and a Link to the versioned
-// successor resource, so pre-/v1 clients keep byte-identical bodies
-// while tooling discovers the canonical path. The handler itself is
-// shared — only the headers differ between /x and /v1/x.
-func Deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"sort"
 	"strconv"
 	"time"
 )
@@ -56,6 +57,31 @@ func ParseLimit(q url.Values) (int, *ParamError) {
 // Cursor returns ?cursor= (opaque; the empty string starts at the
 // top).
 func Cursor(q url.Values) string { return q.Get("cursor") }
+
+// PageEPCs applies ?limit=&cursor= pagination to a sorted EPC list:
+// the page starts strictly after cursor (the last EPC of the previous
+// page) and holds at most limit entries; next is the cursor for the
+// following page ("" when exhausted). limit <= 0 means everything
+// after the cursor. The serving tier and the router both page with it,
+// so a client pages a single daemon and a cluster identically.
+func PageEPCs(epcs []string, limit int, cursor string) (page []string, next string) {
+	start := 0
+	if cursor != "" {
+		start = sort.SearchStrings(epcs, cursor)
+		if start < len(epcs) && epcs[start] == cursor {
+			start++
+		}
+	}
+	end := len(epcs)
+	if limit > 0 && start+limit < end {
+		end = start + limit
+	}
+	page = epcs[start:end]
+	if end < len(epcs) && len(page) > 0 {
+		next = page[len(page)-1]
+	}
+	return page, next
+}
 
 // Prefix returns ?prefix= (the firehose EPC filter).
 func Prefix(q url.Values) string { return q.Get("prefix") }

@@ -31,6 +31,7 @@ import (
 	"rfprism/internal/geom"
 	"rfprism/internal/ingest"
 	"rfprism/internal/rf"
+	"rfprism/internal/serve"
 	"rfprism/internal/sim"
 )
 
@@ -207,12 +208,12 @@ func runServeChild() error {
 	if err != nil {
 		return err
 	}
-	ring := ingest.NewRingSink(8)
+	store := serve.NewStore(serve.StoreConfig{History: 8})
 	d := ingest.NewDaemon(sys, ingest.Config{
 		Sessionizer: sessionizerConfig(),
 		QueueSize:   harnessQueue,
 		Journal:     j,
-	}, ring)
+	}, store)
 	if os.Getenv(envRecover) == "1" {
 		info, err := d.Recover()
 		if err != nil {
@@ -225,7 +226,7 @@ func runServeChild() error {
 		return err
 	}
 	srv := &http.Server{
-		Handler:           ingest.NewServer(d, ring).Handler(),
+		Handler:           serve.NewServer(store, nil, nil).Wrap(ingest.NewServer(d).Handler()),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}

@@ -54,19 +54,18 @@ func TestDaemonShutdownNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := NewRingSink(4)
-	d := NewDaemon(echoProc{}, crashTestConfig(j), ring)
-	srv := httptest.NewServer(NewServer(d, ring).Handler())
+	d := NewDaemon(echoProc{}, crashTestConfig(j), &captureSink{})
+	srv := httptest.NewServer(NewServer(d).Handler())
 
 	// Drive real traffic through every layer: HTTP ingest, journal
-	// append, sessionizer close, solve, ledger append, ring emit.
+	// append, sessionizer close, solve, ledger append, sink emit.
 	var lines []string
 	for _, epc := range []string{"A", "B", "poison-x"} {
 		for _, rd := range fullWindow(epc) {
 			lines = append(lines, mustJSON(t, rd))
 		}
 	}
-	resp, err := http.Post(srv.URL+"/ingest", "application/x-ndjson",
+	resp, err := http.Post(srv.URL+"/v1/ingest", "application/x-ndjson",
 		strings.NewReader(strings.Join(lines, "\n")))
 	if err != nil {
 		t.Fatal(err)

@@ -41,6 +41,18 @@ func (s *captureSink) snapshot() []TagResult {
 	return append([]TagResult(nil), s.results...)
 }
 
+// latest returns the last result emitted for epc.
+func (s *captureSink) latest(epc string) (TagResult, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := len(s.results) - 1; i >= 0; i-- {
+		if s.results[i].EPC == epc {
+			return s.results[i], true
+		}
+	}
+	return TagResult{}, false
+}
+
 // gatedProc is a Processor that holds the entire stream until its gate
 // opens — the lever for deterministic backpressure tests.
 type gatedProc struct {
@@ -313,11 +325,10 @@ func TestDaemonEndToEndReplayMatchesProcessWindow(t *testing.T) {
 
 	// Live side: replay the identical stream through the daemon.
 	cap := &captureSink{}
-	ring := NewRingSink(4)
 	d := NewDaemon(sys, Config{
 		Sessionizer: sessCfg,
 		RetryAfter:  10 * time.Millisecond,
-	}, cap, ring)
+	}, cap)
 	if _, err := d.ReplayReports(context.Background(), stream, 0); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -358,9 +369,9 @@ func TestDaemonEndToEndReplayMatchesProcessWindow(t *testing.T) {
 	// Each tag's latest solved estimate should localize near truth —
 	// the stream really carries usable physics, not just plumbing.
 	for i, tr := range tracked {
-		latest, ok := ring.Latest(tr.Tag.EPC)
+		latest, ok := cap.latest(tr.Tag.EPC)
 		if !ok {
-			t.Fatalf("ring has no result for %s", tr.Tag.EPC)
+			t.Fatalf("no result for %s", tr.Tag.EPC)
 		}
 		if latest.Estimate == nil {
 			continue // a drained partial tail may be rejected; covered above

@@ -45,11 +45,10 @@ func TestDaemonTracingEndToEnd(t *testing.T) {
 	rfprism.WithConfidence()(sys) // exercise the likelihood post-pass stage too
 
 	cap := &captureSink{}
-	ring := NewRingSink(4)
 	d := NewDaemon(sys, Config{
 		Sessionizer: SessionizerConfig{CoverageClose: 45},
 		Metrics:     met,
-	}, cap, ring)
+	}, cap)
 	if _, err := d.ReplayReports(context.Background(), stream, 0); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -89,7 +88,7 @@ func TestDaemonTracingEndToEnd(t *testing.T) {
 	}
 
 	// The same spans must have landed in the /metrics stage histograms.
-	srv := httptest.NewServer(NewServer(d, ring).Handler())
+	srv := httptest.NewServer(NewServer(d).Handler())
 	defer srv.Close()
 	body := httpGet(t, srv.URL+"/metrics")
 	counts := stageCounts(t, body)

@@ -21,10 +21,13 @@ import (
 // is skipped while still counting as accepted.
 //
 // The invariant that makes a plain high-water mark sufficient: per
-// (stream, daemon) the delivered subsequence always arrives in
+// (stream, daemon) every delivery carries the same subsequence in
 // global stream order (the router forwards per-EPC in request order,
 // chunk by chunk) and acceptance is prefix-based, so the accepted
-// set is exactly {pos ≤ mark}. State is in-memory and TTL-bounded: a
+// set is exactly {pos ≤ mark}. Deliveries may overlap in time — a
+// request parked by a partition is released on heal while its retry
+// is in flight — so each line's check, offer and mark advance happen
+// under one lock. State is in-memory and TTL-bounded: a
 // daemon restart forgets marks, trading a rare post-crash duplicate
 // window for zero journal coupling (the crash path already has
 // exactly-once identity via the emission ledger).
@@ -120,38 +123,36 @@ func newStreamDedup(now func() time.Time) *streamDedup {
 	return &streamDedup{entries: make(map[string]*dedupEntry), now: now}
 }
 
-// highWater returns the stream's mark (0 for an unknown stream) and
-// refreshes its TTL.
-func (d *streamDedup) highWater(id string) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e := d.entries[id]
-	if e == nil {
-		return 0
-	}
-	e.last = d.now()
-	return e.high
-}
-
-// advance raises the stream's mark to pos (never lowers it),
-// creating the stream entry on first use and evicting stale or
-// excess streams.
-func (d *streamDedup) advance(id string, pos uint64) {
+// offer hands line pos of stream id to offer unless an earlier
+// delivery of the stream already did, and reports a skipped line as a
+// duplicate. The check, the offer and the mark's advance hold one
+// lock, so deliveries of one stream that overlap in time offer each
+// position once, in stream order. The mark advances only when offer
+// succeeds; the stream entry is created on first use, evicting stale
+// or excess streams.
+func (d *streamDedup) offer(id string, pos uint64, offer func() error) (dup bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.now()
 	e := d.entries[id]
+	if e != nil {
+		e.last = now
+		if pos <= e.high {
+			return true, nil
+		}
+	}
+	if err := offer(); err != nil {
+		return false, err
+	}
 	if e == nil {
 		if len(d.entries) >= dedupMaxStreams {
 			d.evictLocked(now)
 		}
-		e = &dedupEntry{}
+		e = &dedupEntry{last: now}
 		d.entries[id] = e
 	}
-	e.last = now
-	if pos > e.high {
-		e.high = pos
-	}
+	e.high = pos
+	return false, nil
 }
 
 // evictLocked drops expired streams; if none expired, the oldest one

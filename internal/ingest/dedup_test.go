@@ -3,10 +3,12 @@ package ingest
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -62,12 +64,12 @@ func TestParseStreamPos(t *testing.T) {
 func TestIngestStreamDedup(t *testing.T) {
 	proc := newGatedProc()
 	close(proc.gate)
-	ring := NewRingSink(4)
+	sink := &captureSink{}
 	d := NewDaemon(proc, Config{
 		Sessionizer: SessionizerConfig{CoverageClose: 2, MinAntennas: 1},
-	}, ring)
+	}, sink)
 	defer d.Shutdown(context.Background())
-	srv := httptest.NewServer(NewServer(d, ring).Handler())
+	srv := httptest.NewServer(NewServer(d).Handler())
 	defer srv.Close()
 
 	lines := []string{readLine("A", 0, 0), readLine("A", 1, 1)}
@@ -96,7 +98,7 @@ func TestIngestStreamDedup(t *testing.T) {
 		t.Fatalf("first delivery: status %d, reply %+v", status, reply)
 	}
 	waitFor(t, 2*time.Second, "window to close", func() bool {
-		_, ok := ring.Latest("A")
+		_, ok := sink.latest("A")
 		return ok
 	})
 
@@ -125,17 +127,68 @@ func TestIngestStreamDedup(t *testing.T) {
 	}
 }
 
+// TestIngestStreamDedupConcurrent: deliveries of one stream can
+// overlap in time — a router sub-request parked by a partition is
+// released on heal while its retry is in flight. Every position must
+// still be offered exactly once.
+func TestIngestStreamDedupConcurrent(t *testing.T) {
+	proc := newGatedProc()
+	close(proc.gate)
+	d := NewDaemon(proc, Config{}, &captureSink{})
+	defer d.Shutdown(context.Background())
+	srv := httptest.NewServer(NewServer(d).Handler())
+	defer srv.Close()
+
+	const lines, deliveries = 300, 8
+	var body []string
+	for i := 0; i < lines; i++ {
+		body = append(body, readLine(fmt.Sprintf("E%d", i), 0, 0))
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < deliveries; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/ingest",
+				strings.NewReader(strings.Join(body, "\n")))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req.Header.Set(HeaderStream, "s1")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var reply wireReply
+			err = decodeReply(resp, &reply)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusAccepted || reply.Accepted != lines {
+				t.Errorf("delivery: status %d reply %+v (%v)", resp.StatusCode, reply, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := d.Metrics().ReportsAccepted.Load(); got != lines {
+		t.Fatalf("offered = %d, want %d: overlapping deliveries duplicated reports", got, lines)
+	}
+	if got := d.Metrics().ReportsDeduped.Load(); got != lines*(deliveries-1) {
+		t.Fatalf("deduplicated = %d, want %d", got, lines*(deliveries-1))
+	}
+}
+
 // TestIngestStreamBadHeaders pins the 400 envelope for malformed
 // stream metadata.
 func TestIngestStreamBadHeaders(t *testing.T) {
 	proc := newGatedProc()
 	close(proc.gate)
-	ring := NewRingSink(4)
+	sink := &captureSink{}
 	d := NewDaemon(proc, Config{
 		Sessionizer: SessionizerConfig{CoverageClose: 2, MinAntennas: 1},
-	}, ring)
+	}, sink)
 	defer d.Shutdown(context.Background())
-	srv := httptest.NewServer(NewServer(d, ring).Handler())
+	srv := httptest.NewServer(NewServer(d).Handler())
 	defer srv.Close()
 
 	for _, tc := range []struct {
@@ -173,12 +226,12 @@ func TestIngestStreamBadHeaders(t *testing.T) {
 func TestIngestLineTooLarge(t *testing.T) {
 	proc := newGatedProc()
 	close(proc.gate)
-	ring := NewRingSink(4)
+	sink := &captureSink{}
 	d := NewDaemon(proc, Config{
 		Sessionizer: SessionizerConfig{CoverageClose: 2, MinAntennas: 1},
-	}, ring)
+	}, sink)
 	defer d.Shutdown(context.Background())
-	srv := httptest.NewServer(NewServer(d, ring).Handler())
+	srv := httptest.NewServer(NewServer(d).Handler())
 	defer srv.Close()
 
 	huge := readLine("A", 0, 0) + strings.Repeat(" ", maxReportLine)
@@ -198,28 +251,41 @@ func TestIngestLineTooLarge(t *testing.T) {
 func TestStreamDedupEviction(t *testing.T) {
 	now := time.Unix(0, 0)
 	d := newStreamDedup(func() time.Time { return now })
+	mark := func(id string, pos uint64) bool {
+		dup, err := d.offer(id, pos, func() error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dup
+	}
 	for i := 0; i < dedupMaxStreams; i++ {
-		d.advance(fmt.Sprintf("s%d", i), 1)
+		mark(fmt.Sprintf("s%d", i), 1)
 	}
 	if got := d.streams(); got != dedupMaxStreams {
 		t.Fatalf("streams = %d, want %d", got, dedupMaxStreams)
 	}
 	// At the cap with nothing expired: the oldest single stream goes.
 	now = now.Add(time.Minute)
-	d.advance("fresh", 1)
+	mark("fresh", 1)
 	if got := d.streams(); got != dedupMaxStreams {
 		t.Fatalf("after cap eviction: streams = %d, want %d", got, dedupMaxStreams)
 	}
 	// Everything older than the TTL goes in one sweep.
 	now = now.Add(dedupTTL + time.Minute)
-	d.advance("newest", 1)
+	mark("newest", 1)
 	if got := d.streams(); got > 2 {
 		t.Fatalf("after TTL sweep: streams = %d, want <= 2", got)
 	}
 	// Marks never regress.
-	d.advance("newest", 9)
-	d.advance("newest", 4)
-	if got := d.highWater("newest"); got != 9 {
-		t.Fatalf("highWater = %d, want 9", got)
+	mark("newest", 9)
+	if !mark("newest", 4) || !mark("newest", 9) {
+		t.Fatal("a position at or below the mark was offered again")
+	}
+	// A failed offer leaves the mark where it was.
+	if dup, err := d.offer("newest", 10, func() error { return ErrBusy }); dup || !errors.Is(err, ErrBusy) {
+		t.Fatalf("failed offer = %v, %v; want not dup, ErrBusy", dup, err)
+	}
+	if mark("newest", 10) {
+		t.Fatal("a refused position was marked offered")
 	}
 }

@@ -33,7 +33,7 @@ func FuzzIngestNDJSON(f *testing.F) {
 		QueueSize:   64,
 	})
 	f.Cleanup(func() { _ = d.Shutdown(context.Background()) })
-	srv := httptest.NewServer(NewServer(d, nil).Handler())
+	srv := httptest.NewServer(NewServer(d).Handler())
 	f.Cleanup(srv.Close)
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -46,7 +46,7 @@ func FuzzIngestNDJSON(f *testing.F) {
 			}
 		}
 
-		resp, err := http.Post(srv.URL+"/ingest", "application/x-ndjson", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/ingest", "application/x-ndjson", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST /ingest: %v", err)
 		}

@@ -3,14 +3,12 @@ package ingest
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -21,16 +19,13 @@ import (
 // to well under 1 KiB; the margin tolerates vendor extensions).
 const maxReportLine = 1 << 20
 
-// Server exposes the daemon over HTTP. The API is versioned under /v1:
+// Server exposes the daemon's write side over HTTP:
 //
-//	POST /v1/ingest      NDJSON reports, one sim.Reading per line
-//	GET  /v1/tags        known EPCs
-//	GET  /v1/tags/{epc}  buffered results for one tag (?latest=1 for one)
+//	POST /v1/ingest   NDJSON reports, one sim.Reading per line
 //
-// The original unversioned paths (/ingest, /tags, /tags/{epc}) remain
-// mounted as aliases answering byte-identical payloads, so pre-/v1
-// clients keep working. Operational endpoints are unversioned by
-// convention:
+// Tag reads are not served here: serve.Server wraps this handler and
+// answers GET /v1/tags and the streams from the snapshot store.
+// Operational endpoints are unversioned by convention:
 //
 //	GET  /healthz     liveness: 200 as long as the process serves,
 //	                  with the queue/journal/breaker snapshot
@@ -55,10 +50,9 @@ const maxReportLine = 1 << 20
 // retry_after_ms) and reports how many lines were accepted before the
 // refusal.
 type Server struct {
-	d     *Daemon
-	store TagStore
-	mux   *http.ServeMux
-	log   *slog.Logger
+	d   *Daemon
+	mux *http.ServeMux
+	log *slog.Logger
 	// dedup holds the per-stream high-water marks behind the
 	// X-RFPrism-Stream exactly-once retry protocol (dedup.go).
 	dedup *streamDedup
@@ -67,50 +61,12 @@ type Server struct {
 	jitter func() float64
 }
 
-// TagStore is the query surface GET /v1/tags reads from. RingSink is
-// the in-memory implementation; serve.Store is the epoch-swapped
-// snapshot store that replaces it in the daemon.
-type TagStore interface {
-	Latest(epc string) (TagResult, bool)
-	History(epc string) []TagResult
-	EPCs() []string
-}
-
-// EpochStore is implemented by stores with snapshot generations: reads
-// then advertise the epoch in the X-RFPrism-Epoch header so clients
-// can start a since=<epoch> subscription without a race.
-type EpochStore interface {
-	Epoch() uint64
-}
-
-// TagWaiter is implemented by stores that support long-poll: WaitTag
-// blocks until the tag has a result newer than since, wait elapses, or
-// ctx ends. ok reports a change; epoch is the tag's epoch either way.
-type TagWaiter interface {
-	WaitTag(ctx context.Context, epc string, since uint64, wait time.Duration) (TagResult, uint64, bool)
-}
-
-// NewServer wires a daemon and its query store. store may be nil when
-// the deployment has no query endpoint (pure NDJSON export). Request
-// logs go to the daemon's logger.
-func NewServer(d *Daemon, store TagStore) *Server {
-	if rs, ok := store.(*RingSink); ok && rs == nil {
-		store = nil // tolerate a typed-nil ring from optional wiring
-	}
-	s := &Server{d: d, store: store, mux: http.NewServeMux(), log: d.Logger(),
+// NewServer wires a daemon's HTTP API. Request logs go to the daemon's
+// logger.
+func NewServer(d *Daemon) *Server {
+	s := &Server{d: d, mux: http.NewServeMux(), log: d.Logger(),
 		dedup: newStreamDedup(d.cfg.Now), jitter: rand.Float64}
-	for _, prefix := range []string{"/v1", ""} {
-		// The unversioned aliases serve byte-identical bodies through
-		// the same handlers, but advertise their successor: responses
-		// carry a Deprecation header and a Link to the /v1 path.
-		wrap := func(h http.HandlerFunc) http.HandlerFunc { return h }
-		if prefix == "" {
-			wrap = api.Deprecated
-		}
-		s.mux.HandleFunc("POST "+prefix+"/ingest", wrap(s.handleIngest))
-		s.mux.HandleFunc("GET "+prefix+"/tags", wrap(s.handleTags))
-		s.mux.HandleFunc("GET "+prefix+"/tags/{epc}", wrap(s.handleTag))
-	}
+	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -131,7 +87,6 @@ const (
 	CodeBackpressure   = "backpressure"     // queue full, retry after the advertised pause
 	CodeDraining       = "draining"         // daemon is shutting down
 	CodeNotFound       = "not_found"        // unknown endpoint or tag
-	CodeNoRing         = "no_query_ring"    // daemon runs without a query ring
 	CodeBadParam       = "bad_param"        // malformed query parameter
 	CodeReportTooLarge = "report_too_large" // one NDJSON line exceeds maxReportLine (413)
 )
@@ -187,10 +142,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	highWater := uint64(0)
-	if streamID != "" {
-		highWater = s.dedup.highWater(streamID)
-	}
 	idx := 0 // non-blank line index, drives position lookup
 	for sc.Scan() {
 		line++
@@ -208,24 +159,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			linePos = p
 		}
 		idx++
-		if linePos != 0 && linePos <= highWater {
-			// Already offered by an earlier delivery of this stream: a
-			// retried sub-batch, a resume overshoot. Skip, still accept.
-			accepted++
-			s.d.Metrics().ReportsDeduped.Inc()
-			continue
-		}
 		rd, err := decodeReading(raw)
 		if err != nil {
 			fail(http.StatusBadRequest, CodeBadReport, 0, fmt.Sprintf("line %d: %v", line, err))
 			return
 		}
-		switch err := s.d.Offer(rd); {
+		dup := false
+		if linePos != 0 {
+			dup, err = s.dedup.offer(streamID, linePos, func() error { return s.d.Offer(rd) })
+		} else {
+			err = s.d.Offer(rd)
+		}
+		switch {
+		case dup:
+			// Already offered by an earlier delivery of this stream: a
+			// retried sub-batch, a resume overshoot. Skip, still accept.
+			accepted++
+			s.d.Metrics().ReportsDeduped.Inc()
 		case err == nil:
 			accepted++
-			if linePos != 0 {
-				s.dedup.advance(streamID, linePos)
-			}
 		case errors.Is(err, ErrBusy):
 			secs := retryAfterSeconds(s.d.RetryAfter(), s.jitter())
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
@@ -255,136 +207,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.Debug("ingest accepted", "path", r.URL.Path, "accepted", accepted)
 	writeJSON(w, http.StatusAccepted, ingestReply{Schema: api.Version, Accepted: accepted})
-}
-
-// setEpochHeader advertises the store's snapshot epoch so a client can
-// open a since=<epoch> subscription with no gap after a plain read.
-func (s *Server) setEpochHeader(w http.ResponseWriter) {
-	if es, ok := s.store.(EpochStore); ok {
-		w.Header().Set("X-RFPrism-Epoch", strconv.FormatUint(es.Epoch(), 10))
-	}
-}
-
-// PageEPCs applies ?limit=&cursor= pagination to a sorted EPC list:
-// the page starts strictly after cursor (the last EPC of the previous
-// page) and holds at most limit entries; next is the cursor for the
-// following page ("" when exhausted). limit <= 0 means everything
-// after the cursor. Shared with the router so both tiers page
-// identically.
-func PageEPCs(epcs []string, limit int, cursor string) (page []string, next string) {
-	start := 0
-	if cursor != "" {
-		start = sort.SearchStrings(epcs, cursor)
-		if start < len(epcs) && epcs[start] == cursor {
-			start++
-		}
-	}
-	end := len(epcs)
-	if limit > 0 && start+limit < end {
-		end = start + limit
-	}
-	page = epcs[start:end]
-	if end < len(epcs) && len(page) > 0 {
-		next = page[len(page)-1]
-	}
-	return page, next
-}
-
-func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		s.writeError(w, http.StatusNotFound, CodeNoRing, "no query ring configured", 0)
-		return
-	}
-	epcs := s.store.EPCs()
-	s.setEpochHeader(w)
-	q := r.URL.Query()
-	cursor := api.Cursor(q)
-	if q.Get("limit") == "" && cursor == "" {
-		// Unpaged shape: the pre-pagination field set plus the schema
-		// stamp.
-		s.log.Debug("tags listed", "path", r.URL.Path, "count", len(epcs))
-		writeJSON(w, http.StatusOK, api.TagList{Schema: api.Version, Tags: epcs})
-		return
-	}
-	limit, perr := api.ParseLimit(q)
-	if perr != nil {
-		s.writeError(w, http.StatusBadRequest, CodeBadParam, perr.Error(), 0)
-		return
-	}
-	page, next := PageEPCs(epcs, limit, cursor)
-	total := len(epcs)
-	reply := api.TagList{Schema: api.Version, Tags: page, Count: &total, Next: next}
-	s.log.Debug("tags page served", "path", r.URL.Path, "page", len(page), "count", total)
-	writeJSON(w, http.StatusOK, reply)
-}
-
-func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		s.writeError(w, http.StatusNotFound, CodeNoRing, "no query ring configured", 0)
-		return
-	}
-	epc := r.PathValue("epc")
-	q := r.URL.Query()
-	if waitRaw := q.Get("wait"); waitRaw != "" {
-		s.handleTagWait(w, r, epc, waitRaw)
-		return
-	}
-	if q.Get("latest") != "" {
-		res, ok := s.store.Latest(epc)
-		if !ok {
-			s.log.Debug("tag query missed", "path", r.URL.Path, "epc", epc)
-			s.writeError(w, http.StatusNotFound, CodeNotFound, "unknown tag", 0)
-			return
-		}
-		s.setEpochHeader(w)
-		s.log.Debug("tag latest served", "path", r.URL.Path, "epc", epc)
-		writeJSON(w, http.StatusOK, res)
-		return
-	}
-	history := s.store.History(epc)
-	if len(history) == 0 {
-		s.log.Debug("tag query missed", "path", r.URL.Path, "epc", epc)
-		s.writeError(w, http.StatusNotFound, CodeNotFound, "unknown tag", 0)
-		return
-	}
-	s.setEpochHeader(w)
-	s.log.Debug("tag history served", "path", r.URL.Path, "epc", epc, "results", len(history))
-	writeJSON(w, http.StatusOK, api.TagHistory{Schema: api.Version, EPC: epc, Results: history})
-}
-
-// tagWaitReply is the long-poll response body. result is present only
-// when changed.
-type tagWaitReply = api.WaitReply
-
-// handleTagWait serves GET /v1/tags/{epc}?wait=30s&since=<epoch>: it
-// holds the request until the tag changes past since or wait elapses,
-// so a poller fleet costs one parked request each instead of a poll
-// storm. Requires a TagWaiter store (the serve tier).
-func (s *Server) handleTagWait(w http.ResponseWriter, r *http.Request, epc, waitRaw string) {
-	tw, ok := s.store.(TagWaiter)
-	if !ok {
-		s.writeError(w, http.StatusBadRequest, CodeBadParam, "long-poll not supported by this store", 0)
-		return
-	}
-	wait, perr := api.ParseWait(waitRaw)
-	if perr != nil {
-		s.writeError(w, http.StatusBadRequest, CodeBadParam, perr.Error(), 0)
-		return
-	}
-	since, perr := api.ParseSince(r.URL.Query())
-	if perr != nil {
-		s.writeError(w, http.StatusBadRequest, CodeBadParam, perr.Error(), 0)
-		return
-	}
-	res, epoch, changed := tw.WaitTag(r.Context(), epc, since, wait)
-	w.Header().Set("X-RFPrism-Epoch", strconv.FormatUint(epoch, 10))
-	reply := tagWaitReply{Schema: api.Version, Epoch: epoch, Changed: changed}
-	if changed {
-		reply.Result = &res
-	}
-	s.log.Debug("long-poll answered", "path", r.URL.Path, "epc", epc,
-		"since", since, "epoch", epoch, "changed", changed)
-	writeJSON(w, http.StatusOK, reply)
 }
 
 // retryAfterSeconds converts the advertised backpressure pause into a

@@ -46,7 +46,7 @@ func TestServerBreakerReadiness(t *testing.T) {
 	cfg.Breaker = BreakerConfig{Threshold: 3, Window: time.Minute}
 	d := NewDaemon(echoProc{}, cfg, &captureSink{})
 	defer d.Shutdown(context.Background())
-	srv := httptest.NewServer(NewServer(d, nil).Handler())
+	srv := httptest.NewServer(NewServer(d).Handler())
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

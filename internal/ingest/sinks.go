@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -129,69 +128,3 @@ func (s *NDJSONSink) Emit(r TagResult) error {
 
 // Close implements Sink.
 func (s *NDJSONSink) Close() error { return nil }
-
-// RingSink keeps the last N results per tag in memory — the store
-// behind GET /tags/{epc}. Reads and writes may race, so access is
-// guarded.
-type RingSink struct {
-	mu   sync.RWMutex
-	n    int
-	tags map[string][]TagResult
-}
-
-// NewRingSink keeps up to n results per tag (minimum 1).
-func NewRingSink(n int) *RingSink {
-	if n < 1 {
-		n = 1
-	}
-	return &RingSink{n: n, tags: make(map[string][]TagResult)}
-}
-
-// Emit implements Sink.
-func (s *RingSink) Emit(r TagResult) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ring := append(s.tags[r.EPC], r)
-	if len(ring) > s.n {
-		ring = ring[len(ring)-s.n:]
-	}
-	s.tags[r.EPC] = ring
-	return nil
-}
-
-// Close implements Sink.
-func (s *RingSink) Close() error { return nil }
-
-// Latest returns a tag's most recent result.
-func (s *RingSink) Latest(epc string) (TagResult, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ring := s.tags[epc]
-	if len(ring) == 0 {
-		return TagResult{}, false
-	}
-	return ring[len(ring)-1], true
-}
-
-// History returns a tag's buffered results, oldest first (a copy).
-func (s *RingSink) History(epc string) []TagResult {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ring := s.tags[epc]
-	if len(ring) == 0 {
-		return nil
-	}
-	return append([]TagResult(nil), ring...)
-}
-
-// EPCs returns the known tags, sorted.
-func (s *RingSink) EPCs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tags))
-	for epc := range s.tags {
-		out = append(out, epc)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -34,12 +34,11 @@ func TestClusterChaosConformance(t *testing.T) {
 
 	// Clean baseline: one daemon, no network between client and solve.
 	baseCap := &collector{}
-	ring := ingest.NewRingSink(4)
 	single := ingest.NewDaemon(newConformanceSystem(t, seed), ingest.Config{
 		Sessionizer: sessCfg,
 		QueueSize:   256,
-	}, baseCap, ring)
-	srv := httptest.NewServer(ingest.NewServer(single, ring).Handler())
+	}, baseCap)
+	srv := httptest.NewServer(ingest.NewServer(single).Handler())
 	postAll(t, srv.URL, body, lines)
 	if err := single.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

@@ -32,8 +32,8 @@ type ClusterConfig struct {
 	Dir string
 	// NewProcessor builds one shard's solving backend. Required.
 	NewProcessor func(shardID string) ingest.Processor
-	// NewSinks builds one shard's extra result sinks (the RingSink
-	// behind GET /tags is always attached). Optional.
+	// NewSinks builds one shard's extra result sinks (the snapshot
+	// store behind GET /v1/tags is always attached). Optional.
 	NewSinks func(shardID string) []ingest.Sink
 	// Daemon is the per-shard daemon config template; Journal and
 	// Metrics are overridden per shard.
@@ -180,7 +180,7 @@ func (c *Cluster) startShard(id string) (*localShard, error) {
 	s.ln = ln
 	s.srv = &http.Server{
 		Handler: serve.NewServer(s.store, nil, dcfg.Logger).
-			Wrap(ingest.NewServer(s.daemon, s.store).Handler()),
+			Wrap(ingest.NewServer(s.daemon).Handler()),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}

@@ -190,13 +190,12 @@ func TestClusterConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := ingest.NewRingSink(4)
 	single := ingest.NewDaemon(newConformanceSystem(t, seed), ingest.Config{
 		Sessionizer: sessCfg,
 		QueueSize:   256,
 		Journal:     j,
-	}, singleCap, ring)
-	srv := httptest.NewServer(ingest.NewServer(single, ring).Handler())
+	}, singleCap)
+	srv := httptest.NewServer(ingest.NewServer(single).Handler())
 	postAll(t, srv.URL, body, lines)
 	if err := single.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

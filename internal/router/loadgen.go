@@ -37,8 +37,6 @@ type LoadConfig struct {
 	// ChunkLines is the number of NDJSON lines per POST (default 512,
 	// matching the router's own forwarding chunk).
 	ChunkLines int
-	// Path is the ingest endpoint (default "/v1/ingest").
-	Path string
 	// MaxRetries bounds consecutive backpressure or transient-fault
 	// rounds on a single chunk before RunLoad gives up (default 1000).
 	MaxRetries int
@@ -60,9 +58,6 @@ type LoadConfig struct {
 func (c *LoadConfig) defaults() {
 	if c.ChunkLines <= 0 {
 		c.ChunkLines = 512
-	}
-	if c.Path == "" {
-		c.Path = "/v1/ingest"
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 1000
@@ -169,7 +164,7 @@ func postChunk(ctx context.Context, h http.Handler, cfg *LoadConfig, chunk [][]b
 		}
 		body := bytes.Join(chunk[sent:], []byte{'\n'})
 		body = append(body, '\n')
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.Path, bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "/v1/ingest", bytes.NewReader(body))
 		if err != nil {
 			return err
 		}

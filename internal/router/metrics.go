@@ -10,7 +10,7 @@ import (
 )
 
 // ingestLatencyBounds are the histogram bucket upper bounds (seconds)
-// for one POST /ingest request through the router: a per-EPC fan-out
+// for one POST /v1/ingest request through the router: a per-EPC fan-out
 // plus the slowest shard's admission. Sub-millisecond when every shard
 // queue has room, multi-second when a shard is saturated.
 var ingestLatencyBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}

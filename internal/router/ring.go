@@ -1,7 +1,7 @@
 // Package router is the sharding tier in front of rfprismd: a thin
 // HTTP router that consistent-hashes EPCs onto N daemon shards (each
 // with its own journal, sessionizer, breaker and recovery domain),
-// fans POST /ingest out per EPC with per-shard backpressure, scatter-
+// fans POST /v1/ingest out per EPC with per-shard backpressure, scatter-
 // gathers the read endpoints with partial-result degradation, and
 // aggregates /metrics and /readyz across the fleet. One EPC always
 // lands on one shard, so every per-EPC invariant the single daemon

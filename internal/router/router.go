@@ -140,20 +140,11 @@ func New(cfg Config) *Router {
 		ring:     NewRing(cfg.Vnodes),
 		shards:   make(map[string]*shard),
 	}
-	for _, prefix := range []string{"/v1", ""} {
-		// Unversioned aliases share the handlers but advertise their
-		// /v1 successor (Deprecation + Link headers), matching the
-		// shard daemons' own surface.
-		wrap := func(h http.HandlerFunc) http.HandlerFunc { return h }
-		if prefix == "" {
-			wrap = api.Deprecated
-		}
-		rt.mux.HandleFunc("POST "+prefix+"/ingest", wrap(rt.handleIngest))
-		rt.mux.HandleFunc("GET "+prefix+"/tags", wrap(rt.handleTags))
-		rt.mux.HandleFunc("GET "+prefix+"/tags/{epc}", wrap(rt.handleTag))
-		rt.mux.HandleFunc("GET "+prefix+"/tags/{epc}/stream", wrap(rt.handleTagStream))
-		rt.mux.HandleFunc("GET "+prefix+"/stream", wrap(rt.handleFirehose))
-	}
+	rt.mux.HandleFunc("POST /v1/ingest", rt.handleIngest)
+	rt.mux.HandleFunc("GET /v1/tags", rt.handleTags)
+	rt.mux.HandleFunc("GET /v1/tags/{epc}", rt.handleTag)
+	rt.mux.HandleFunc("GET /v1/tags/{epc}/stream", rt.handleTagStream)
+	rt.mux.HandleFunc("GET /v1/stream", rt.handleFirehose)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
@@ -270,9 +261,9 @@ type apiError = api.Error
 
 // Router-specific error codes (shard codes pass through verbatim).
 const (
-	CodeNoShards         = "no_shards"          // empty ring
-	CodeShardUnavailable = "shard_unavailable"  // transport error or shard 5xx
-	CodeAllShardsDown    = "all_shards_down"    // scatter-gather found nobody
+	CodeNoShards         = "no_shards"         // empty ring
+	CodeShardUnavailable = "shard_unavailable" // transport error or shard 5xx
+	CodeAllShardsDown    = "all_shards_down"   // scatter-gather found nobody
 )
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -856,7 +847,7 @@ func (rt *Router) handleTags(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		total := len(tags)
-		reply.Tags, reply.Next = ingest.PageEPCs(tags, limit, cursor)
+		reply.Tags, reply.Next = api.PageEPCs(tags, limit, cursor)
 		reply.Count = &total
 	}
 	if len(missing) > 0 {

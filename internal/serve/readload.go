@@ -43,8 +43,6 @@ type ReadLoadConfig struct {
 	PollInterval time.Duration
 	// Wait is the long-poll hold (default 2s).
 	Wait time.Duration
-	// PathPrefix selects the API mount (default "/v1").
-	PathPrefix string
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -58,9 +56,6 @@ func (c *ReadLoadConfig) defaults() {
 	}
 	if c.Wait <= 0 {
 		c.Wait = 2 * time.Second
-	}
-	if c.PathPrefix == "" {
-		c.PathPrefix = "/v1"
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -194,7 +189,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 func poller(ctx context.Context, h http.Handler, cfg *ReadLoadConfig, id int, hist *latHist, c *readCounters) {
 	epc := clientEPC(cfg, id)
-	path := cfg.PathPrefix + "/tags/" + epc + "?latest=1"
+	path := "/v1/tags/" + epc + "?latest=1"
 	key := fmt.Sprintf("load-%d", id)
 	if !sleepCtx(ctx, stagger(id, cfg.Pollers, cfg.PollInterval)) {
 		return
@@ -232,7 +227,7 @@ func longPoller(ctx context.Context, h http.Handler, cfg *ReadLoadConfig, id int
 		return
 	}
 	for ctx.Err() == nil {
-		path := fmt.Sprintf("%s/tags/%s?wait=%s&since=%d", cfg.PathPrefix, epc, cfg.Wait, since)
+		path := fmt.Sprintf("/v1/tags/%s?wait=%s&since=%d", epc, cfg.Wait, since)
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
 		if err != nil {
 			c.errors.Add(1)
@@ -276,7 +271,7 @@ func longPoller(ctx context.Context, h http.Handler, cfg *ReadLoadConfig, id int
 
 func subscriber(ctx context.Context, h http.Handler, cfg *ReadLoadConfig, id int, c *readCounters) {
 	epc := clientEPC(cfg, id)
-	path := cfg.PathPrefix + "/tags/" + epc + "/stream"
+	path := "/v1/tags/" + epc + "/stream"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		c.errors.Add(1)

@@ -34,7 +34,7 @@ func wrappedSurface(t *testing.T, st *Store, lim *Limiter) http.Handler {
 	t.Helper()
 	d := ingest.NewDaemon(drainProc{}, ingest.Config{}, st)
 	t.Cleanup(func() { _ = d.Shutdown(context.Background()) })
-	return NewServer(st, lim, nil).Wrap(ingest.NewServer(d, st).Handler())
+	return NewServer(st, lim, nil).Wrap(ingest.NewServer(d).Handler())
 }
 
 // TestRunReadLoadSmoke drives the mixed client population (pollers,

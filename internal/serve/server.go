@@ -11,25 +11,35 @@ import (
 	"time"
 
 	"rfprism/internal/api"
+	"rfprism/internal/ingest"
 )
 
-// Server adds the streaming read surface on top of an inner /v1 API
-// handler:
+// Server is the read path of every tier that holds results. It serves
+// the whole tag surface from the snapshot store:
 //
+//	GET /v1/tags               known EPCs (?limit=&cursor= pages)
+//	GET /v1/tags/{epc}         buffered results (?latest=1 for one,
+//	                           ?wait=&since= long-polls)
 //	GET /v1/tags/{epc}/stream  SSE: every new result for one tag
 //	GET /v1/stream             SSE firehose (?prefix= narrows by EPC prefix)
 //
-// (also mounted unversioned, matching the rest of the surface). Every
-// other path falls through to the inner handler, so the plain tag API
-// keeps a single implementation. Wrap also applies the per-client
-// limiter across the whole surface.
+// Every other path falls through to the inner handler (the ingest API:
+// POST /v1/ingest, health, metrics and the 404 catch-all). Wrap also
+// applies the per-client limiter across the whole surface.
+//
+// A plain read loads one Snapshot and answers both the body and the
+// X-RFPrism-Epoch header from it, so the advertised epoch is exactly
+// the cut the body shows: a client that resumes since=<epoch> from a
+// read misses nothing and sees nothing twice.
 //
 // SSE wire contract: events carry `id: <epoch>` so clients reconnect
 // with Last-Event-ID (or ?since=<epoch>) and are replayed everything
-// newer from the snapshot's retained window. A client further behind
-// than the window gets one `event: resync` (it must re-GET the full
-// state) before live results resume. A consumer that cannot keep up is
-// evicted: the stream ends with `event: dropped` and a typed reason.
+// newer from the snapshot's retained window. Every result of one swap
+// batch shares the batch's epoch and gets its own frame. A client
+// further behind than the window gets one `event: resync` (it must
+// re-GET the full state) before live results resume. A consumer that
+// cannot keep up is evicted: the stream ends with `event: dropped` and
+// a typed reason.
 type Server struct {
 	store     *Store
 	lim       *Limiter
@@ -39,8 +49,8 @@ type Server struct {
 	streams atomic.Int64 // live SSE streams
 }
 
-// NewServer wires the streaming surface. lim may be nil (no limits);
-// log may be nil (discards).
+// NewServer wires the read surface. lim may be nil (no limits); log
+// may be nil (discards).
 func NewServer(store *Store, lim *Limiter, log *slog.Logger) *Server {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -58,22 +68,101 @@ func (s *Server) SetHeartbeat(d time.Duration) {
 // Streams returns the number of live SSE streams.
 func (s *Server) Streams() int64 { return s.streams.Load() }
 
-// Wrap mounts the stream endpoints in front of inner (the ingest API
+// Wrap mounts the read endpoints in front of inner (the ingest API
 // handler) and applies the limiter to the combined surface.
 func (s *Server) Wrap(inner http.Handler) http.Handler {
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"/v1", ""} {
-		// Unversioned aliases share the handlers but advertise their
-		// /v1 successor (Deprecation + Link headers).
-		wrap := func(h http.HandlerFunc) http.HandlerFunc { return h }
-		if prefix == "" {
-			wrap = api.Deprecated
-		}
-		mux.HandleFunc("GET "+prefix+"/tags/{epc}/stream", wrap(s.handleTagStream))
-		mux.HandleFunc("GET "+prefix+"/stream", wrap(s.handleFirehose))
-	}
+	mux.HandleFunc("GET /v1/tags", s.handleTags)
+	mux.HandleFunc("GET /v1/tags/{epc}", s.handleTag)
+	mux.HandleFunc("GET /v1/tags/{epc}/stream", s.handleTagStream)
+	mux.HandleFunc("GET /v1/stream", s.handleFirehose)
 	mux.Handle("/", inner)
 	return s.lim.Middleware(mux)
+}
+
+func setEpoch(w http.ResponseWriter, epoch uint64) {
+	w.Header().Set("X-RFPrism-Epoch", strconv.FormatUint(epoch, 10))
+}
+
+func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
+	snap := s.store.Snapshot()
+	epcs := snap.EPCs()
+	setEpoch(w, snap.Epoch())
+	q := r.URL.Query()
+	cursor := api.Cursor(q)
+	if q.Get("limit") == "" && cursor == "" {
+		// Unpaged shape: the pre-pagination field set plus the schema
+		// stamp.
+		s.log.Debug("tags listed", "path", r.URL.Path, "count", len(epcs))
+		api.WriteJSON(w, http.StatusOK, api.TagList{Schema: api.Version, Tags: epcs})
+		return
+	}
+	limit, perr := api.ParseLimit(q)
+	if perr != nil {
+		api.WriteError(w, http.StatusBadRequest, ingest.CodeBadParam, perr.Error(), 0)
+		return
+	}
+	page, next := api.PageEPCs(epcs, limit, cursor)
+	total := len(epcs)
+	s.log.Debug("tags page served", "path", r.URL.Path, "page", len(page), "count", total)
+	api.WriteJSON(w, http.StatusOK, api.TagList{Schema: api.Version, Tags: page, Count: &total, Next: next})
+}
+
+func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
+	epc := r.PathValue("epc")
+	q := r.URL.Query()
+	if waitRaw := q.Get("wait"); waitRaw != "" {
+		s.handleTagWait(w, r, epc, waitRaw)
+		return
+	}
+	snap := s.store.Snapshot()
+	if q.Get("latest") != "" {
+		res, _, ok := snap.Latest(epc)
+		if !ok {
+			s.log.Debug("tag query missed", "path", r.URL.Path, "epc", epc)
+			api.WriteError(w, http.StatusNotFound, ingest.CodeNotFound, "unknown tag", 0)
+			return
+		}
+		setEpoch(w, snap.Epoch())
+		s.log.Debug("tag latest served", "path", r.URL.Path, "epc", epc)
+		api.WriteJSON(w, http.StatusOK, res)
+		return
+	}
+	history := snap.History(epc)
+	if len(history) == 0 {
+		s.log.Debug("tag query missed", "path", r.URL.Path, "epc", epc)
+		api.WriteError(w, http.StatusNotFound, ingest.CodeNotFound, "unknown tag", 0)
+		return
+	}
+	setEpoch(w, snap.Epoch())
+	s.log.Debug("tag history served", "path", r.URL.Path, "epc", epc, "results", len(history))
+	api.WriteJSON(w, http.StatusOK, api.TagHistory{Schema: api.Version, EPC: epc, Results: history})
+}
+
+// handleTagWait serves GET /v1/tags/{epc}?wait=30s&since=<epoch>: it
+// holds the request until the tag changes past since or wait elapses,
+// so a poller fleet costs one parked request each instead of a poll
+// storm.
+func (s *Server) handleTagWait(w http.ResponseWriter, r *http.Request, epc, waitRaw string) {
+	wait, perr := api.ParseWait(waitRaw)
+	if perr != nil {
+		api.WriteError(w, http.StatusBadRequest, ingest.CodeBadParam, perr.Error(), 0)
+		return
+	}
+	since, perr := api.ParseSince(r.URL.Query())
+	if perr != nil {
+		api.WriteError(w, http.StatusBadRequest, ingest.CodeBadParam, perr.Error(), 0)
+		return
+	}
+	res, epoch, changed := s.store.WaitTag(r.Context(), epc, since, wait)
+	setEpoch(w, epoch)
+	reply := api.WaitReply{Schema: api.Version, Epoch: epoch, Changed: changed}
+	if changed {
+		reply.Result = &res
+	}
+	s.log.Debug("long-poll answered", "path", r.URL.Path, "epc", epc,
+		"since", since, "epoch", epoch, "changed", changed)
+	api.WriteJSON(w, http.StatusOK, reply)
 }
 
 func (s *Server) handleTagStream(w http.ResponseWriter, r *http.Request) {
@@ -82,14 +171,6 @@ func (s *Server) handleTagStream(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFirehose(w http.ResponseWriter, r *http.Request) {
 	s.stream(w, r, Filter{Prefix: r.URL.Query().Get("prefix")})
-}
-
-// parseSince resolves the client's resume epoch: the standard SSE
-// Last-Event-ID reconnect header wins, else ?since=. ok reports
-// whether the client asked to resume at all (a fresh subscriber
-// starts live; it is not replayed history it never saw).
-func parseSince(r *http.Request) (since uint64, ok bool) {
-	return api.SSEResume(r)
 }
 
 func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
@@ -108,7 +189,9 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 	s.streams.Add(1)
 	defer s.streams.Add(-1)
 
-	since, resuming := parseSince(r)
+	// A fresh subscriber starts live: it is not replayed history it
+	// never saw.
+	since, resuming := api.SSEResume(r)
 	// Subscribe before reading the snapshot: Publish runs after the
 	// swap, so everything missing from this snapshot still arrives on
 	// the channel, and everything at or below its epoch is served from
@@ -121,7 +204,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
-	h.Set("X-RFPrism-Epoch", strconv.FormatUint(snap.Epoch(), 10))
+	setEpoch(w, snap.Epoch())
 	w.WriteHeader(http.StatusOK)
 
 	sw := &sseWriter{w: w}
@@ -146,13 +229,18 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 			sw.result(epoch, res)
 		}
 	}
-	last := snap.Epoch()
+	// Live events are filtered against the subscribe-time epoch, not
+	// the last delivered one: every result of a swap batch carries the
+	// batch's epoch, and each needs its own frame. last is only the id
+	// of a closing dropped frame.
+	start := snap.Epoch()
+	last := start
 	flusher.Flush()
 	if sw.err != nil {
 		return
 	}
 	s.log.Debug("stream open", "path", r.URL.Path, "epc", f.EPC, "prefix", f.Prefix,
-		"since", since, "epoch", last)
+		"since", since, "epoch", start)
 
 	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
@@ -160,37 +248,25 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 	for {
 		select {
 		case ev, ok := <-sub.C:
+			// Drain whatever else is queued before flushing once —
+			// under a burst this coalesces dozens of events per write.
+			for more := true; ok && more; {
+				if ev.Epoch > start && f.matches(ev.Result.EPC) {
+					sw.result(ev.Epoch, ev.Result)
+					last = ev.Epoch
+				}
+				select {
+				case ev, ok = <-sub.C:
+				default:
+					more = false
+				}
+			}
 			if !ok {
 				reason := sub.Dropped()
 				sw.event(last, "dropped", fmt.Appendf(nil, `{"reason":%q}`, reason.String()))
 				flusher.Flush()
 				s.log.Debug("stream dropped", "path", r.URL.Path, "reason", reason.String())
 				return
-			}
-			if ev.Epoch > last && f.matches(ev.Result.EPC) {
-				sw.result(ev.Epoch, ev.Result)
-				if ev.Epoch > last {
-					last = ev.Epoch
-				}
-			}
-			// Drain whatever else is queued before flushing once —
-			// under a burst this coalesces dozens of events per write.
-			for drained := false; !drained; {
-				select {
-				case ev, ok := <-sub.C:
-					if !ok {
-						reason := sub.Dropped()
-						sw.event(last, "dropped", fmt.Appendf(nil, `{"reason":%q}`, reason.String()))
-						flusher.Flush()
-						return
-					}
-					if ev.Epoch > last && f.matches(ev.Result.EPC) {
-						sw.result(ev.Epoch, ev.Result)
-						last = ev.Epoch
-					}
-				default:
-					drained = true
-				}
 			}
 			flusher.Flush()
 			if sw.err != nil {

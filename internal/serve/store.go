@@ -31,8 +31,8 @@ import (
 // StoreConfig tunes the snapshot store. The zero value gets serving
 // defaults.
 type StoreConfig struct {
-	// History is the number of results kept per tag (default 16,
-	// minimum 1) — the same depth the RingSink kept.
+	// History is the number of results kept per tag and served by
+	// GET /v1/tags/{epc} (default 16, minimum 1).
 	History int
 	// SwapInterval bounds how stale the visible snapshot may be: the
 	// swapper publishes pending results at least this often (default
@@ -159,10 +159,9 @@ func (s *Snapshot) Since(since uint64) ([]EpochBatch, bool) {
 }
 
 // Store is the epoch-swapped snapshot store. It implements ingest.Sink
-// (the daemon's result loop publishes into the pending generation),
-// ingest.TagStore (GET /v1/tags reads the current snapshot) and
-// ingest.TagWaiter (long-poll). NewStore starts the swapper; Close
-// stops it.
+// (the daemon's result loop publishes into the pending generation);
+// Server reads it through Snapshot, WaitTag (long-poll) and the Hub
+// (SSE). NewStore starts the swapper; Close stops it.
 type Store struct {
 	cfg StoreConfig
 	hub *Hub
@@ -331,23 +330,7 @@ func (st *Store) swap() {
 	st.hub.Publish(epoch, batch)
 }
 
-// --- ingest.TagStore (the ring API, served from snapshots) ----------
-
-// Latest implements ingest.TagStore.
-func (st *Store) Latest(epc string) (ingest.TagResult, bool) {
-	r, _, ok := st.Snapshot().Latest(epc)
-	return r, ok
-}
-
-// History implements ingest.TagStore. The returned slice is immutable.
-func (st *Store) History(epc string) []ingest.TagResult {
-	return st.Snapshot().History(epc)
-}
-
-// EPCs implements ingest.TagStore. The returned slice is immutable.
-func (st *Store) EPCs() []string { return st.Snapshot().EPCs() }
-
-// Epoch implements ingest.EpochStore.
+// Epoch returns the current snapshot's epoch.
 func (st *Store) Epoch() uint64 { return st.Snapshot().Epoch() }
 
 // --- long-poll ------------------------------------------------------
@@ -356,7 +339,7 @@ func (st *Store) Epoch() uint64 { return st.Snapshot().Epoch() }
 // cannot pin a subscription forever.
 const maxLongPollWait = 5 * time.Minute
 
-// WaitTag implements ingest.TagWaiter: it blocks until epc has a
+// WaitTag is the long-poll primitive: it blocks until epc has a
 // result newer than since, wait elapses, or ctx ends. On a change it
 // returns the newest result and its epoch with ok=true; otherwise the
 // current tag epoch with ok=false.

@@ -60,7 +60,7 @@ func emitVisible(t *testing.T, st *Store, r ingest.TagResult) uint64 {
 
 func TestStoreSwapVisibility(t *testing.T) {
 	st := newTestStore(t, StoreConfig{})
-	if _, ok := st.Latest("A"); ok {
+	if _, _, ok := st.Snapshot().Latest("A"); ok {
 		t.Fatal("empty store claims a result")
 	}
 	if st.Epoch() != 0 {
@@ -70,11 +70,11 @@ func TestStoreSwapVisibility(t *testing.T) {
 	emitVisible(t, st, tr("B", 1))
 	emitVisible(t, st, tr("A", 1))
 
-	res, ok := st.Latest("A")
+	res, _, ok := st.Snapshot().Latest("A")
 	if !ok || res.Seq != 1 || res.EPC != "A" {
 		t.Fatalf("Latest(A) = %+v, %v", res, ok)
 	}
-	if got := st.EPCs(); len(got) != 2 || got[0] != "A" || got[1] != "B" {
+	if got := st.Snapshot().EPCs(); len(got) != 2 || got[0] != "A" || got[1] != "B" {
 		t.Fatalf("EPCs = %v, want sorted [A B]", got)
 	}
 	if st.Epoch() < 1 {
@@ -90,7 +90,7 @@ func TestStoreHistoryTrim(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		emitVisible(t, st, tr("A", i))
 	}
-	hist := st.History("A")
+	hist := st.Snapshot().History("A")
 	if len(hist) != 3 {
 		t.Fatalf("history length = %d, want 3", len(hist))
 	}
@@ -234,13 +234,13 @@ func TestStoreCloseFlushesPending(t *testing.T) {
 	if err := st.Emit(tr("A", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Latest("A"); ok {
+	if _, _, ok := st.Snapshot().Latest("A"); ok {
 		t.Fatal("result visible before any swap with an hour-long interval")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if res, ok := st.Latest("A"); !ok || res.Seq != 1 {
+	if res, _, ok := st.Snapshot().Latest("A"); !ok || res.Seq != 1 {
 		t.Fatalf("Close did not flush pending results: %+v, %v", res, ok)
 	}
 	if err := st.Close(); err != nil { // idempotent
@@ -263,7 +263,7 @@ func TestStoreBatchSizeTriggersEarlySwap(t *testing.T) {
 		}
 	}
 	waitFor(t, 2*time.Second, "batch-size wake to swap", func() bool {
-		_, ok := st.Latest("A")
+		_, _, ok := st.Snapshot().Latest("A")
 		return ok
 	})
 }
