@@ -20,7 +20,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -158,9 +157,11 @@ func runStream(seed int64, env string, tags, rounds int, out string) error {
 		defer f.Close()
 	}
 	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
+	var line []byte
 	if err := scene.StreamReadings(tracked, rounds, func(rd sim.Reading) bool {
-		return enc.Encode(rd) == nil
+		line = append(sim.AppendReading(line[:0], rd), '\n')
+		_, err := w.Write(line)
+		return err == nil
 	}); err != nil {
 		return err
 	}

@@ -50,7 +50,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -537,8 +536,8 @@ func readReportFile(path string) ([]sim.Reading, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var rd sim.Reading
-		if err := json.Unmarshal(raw, &rd); err != nil {
+		rd, err := sim.ParseReading(raw)
+		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
 		}
 		out = append(out, rd)

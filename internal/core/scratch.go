@@ -28,7 +28,7 @@ type solveScratch struct {
 	sigmaB float64
 	sigB2  float64 // sigmaB², hoisted out of the intercept residual term
 	wk     []float64
-	sw     float64 // Σ wk, accumulated in observation order
+	sw     float64   // Σ wk, accumulated in observation order
 	wb     []float64 // per-antenna soft weight (Observation.Weight, 1 default)
 	swb    float64   // Σ wb
 	psi    []float64

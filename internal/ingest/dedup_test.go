@@ -234,7 +234,7 @@ func TestIngestLineTooLarge(t *testing.T) {
 	srv := httptest.NewServer(NewServer(d).Handler())
 	defer srv.Close()
 
-	huge := readLine("A", 0, 0) + strings.Repeat(" ", maxReportLine)
+	huge := readLine("A", 0, 0) + strings.Repeat(" ", MaxReportLine)
 	resp, reply := postIngest(t, srv, ndjsonBody(readLine("A", 1, 1), huge))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", resp.StatusCode)

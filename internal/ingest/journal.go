@@ -106,6 +106,7 @@ type Journal struct {
 	unsynced  int    // appends since last sync
 	results   *os.File
 	closed    bool
+	line      []byte // Append's encode buffer, reused under mu
 
 	syncStop chan struct{}
 	syncDone chan struct{}
@@ -308,19 +309,16 @@ func (j *Journal) openActive() error {
 // SyncRecords appends). rotated reports whether a new segment was
 // started, the caller's cue to run retention.
 func (j *Journal) Append(rd sim.Reading) (seq uint64, rotated bool, err error) {
-	line, err := json.Marshal(rd)
-	if err != nil {
-		return 0, false, fmt.Errorf("ingest: journal encode: %w", err)
+	if !finite(rd.Phase) || !finite(rd.RSSI) || !finite(rd.FreqHz) {
+		return 0, false, fmt.Errorf("ingest: journal encode: non-finite field in report")
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return 0, false, fmt.Errorf("ingest: journal closed")
 	}
-	if _, err := j.w.Write(line); err != nil {
-		return 0, false, fmt.Errorf("ingest: journal append: %w", err)
-	}
-	if err := j.w.WriteByte('\n'); err != nil {
+	j.line = append(sim.AppendReading(j.line[:0], rd), '\n')
+	if _, err := j.w.Write(j.line); err != nil {
 		return 0, false, fmt.Errorf("ingest: journal append: %w", err)
 	}
 	seq = j.nextSeq
@@ -518,7 +516,7 @@ func (j *Journal) EmittedSet() (map[WindowKey]uint64, error) {
 	defer f.Close()
 	out := make(map[WindowKey]uint64)
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), maxReportLine)
+	sc.Buffer(make([]byte, 0, 64*1024), MaxReportLine)
 	for sc.Scan() {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
@@ -576,7 +574,7 @@ func replaySegment(s segment, st *ReplayStats, fn func(uint64, sim.Reading) erro
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), maxReportLine)
+	sc.Buffer(make([]byte, 0, 64*1024), MaxReportLine)
 	seq := s.firstSeq
 	lines := 0
 	for sc.Scan() {
@@ -616,14 +614,13 @@ func (j *Journal) QuarantinePath(key WindowKey) string {
 // the panic report alongside as <name>.panic.txt.
 func (j *Journal) Quarantine(key WindowKey, readings []sim.Reading, report string) error {
 	base := j.QuarantinePath(key)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	// The readings passed ValidateReading on admission, so every
+	// float is finite.
+	var buf []byte
 	for _, rd := range readings {
-		if err := enc.Encode(rd); err != nil {
-			return fmt.Errorf("ingest: quarantine encode: %w", err)
-		}
+		buf = append(sim.AppendReading(buf, rd), '\n')
 	}
-	if err := os.WriteFile(base+journalExt, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(base+journalExt, buf, 0o644); err != nil {
 		return fmt.Errorf("ingest: quarantine: %w", err)
 	}
 	if err := os.WriteFile(base+".panic.txt", []byte(report), 0o644); err != nil {
@@ -653,14 +650,14 @@ func sanitizeEPC(epc string) string {
 	return b.String()
 }
 
-// decodeReading parses one NDJSON report line — the single parser
-// shared by POST /ingest and the journal replayer, so the ingest
+// decodeReading parses one NDJSON report line with sim.ParseReading —
+// shared by POST /v1/ingest and the journal replayer, so the ingest
 // fuzzer hardens both. It rejects non-finite phase/RSSI/frequency
 // values at the boundary; everything else is the sessionizer's
 // validation job.
 func decodeReading(raw []byte) (sim.Reading, error) {
-	var rd sim.Reading
-	if err := json.Unmarshal(raw, &rd); err != nil {
+	rd, err := sim.ParseReading(raw)
+	if err != nil {
 		return sim.Reading{}, err
 	}
 	if !finite(rd.Phase) || !finite(rd.RSSI) || !finite(rd.FreqHz) {

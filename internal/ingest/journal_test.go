@@ -1,11 +1,15 @@
 package ingest
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"rfprism/internal/geom"
+	"rfprism/internal/rf"
 	"rfprism/internal/sim"
 )
 
@@ -27,6 +31,75 @@ func testJournal(t *testing.T, cfg JournalConfig) *Journal {
 
 func testReading(epc string, ch int) sim.Reading {
 	return sim.Reading{EPC: epc, Antenna: 1, Channel: ch, FreqHz: 920e6, Phase: 1.25, RSSI: -52}
+}
+
+// TestJournalSegmentBytesAreMarshalLines: a seeded stream journaled
+// through Append lands on disk as the json.Marshal line of each
+// report, in order, each followed by a newline — the same bytes the
+// journal wrote when it encoded through encoding/json.
+func TestJournalSegmentBytesAreMarshalLines(t *testing.T) {
+	scene, err := sim.NewScene(sim.PaperAntennas2D(nil), rf.CleanSpace(), sim.DefaultConfig(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, err := rf.MaterialByName("none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tracked []sim.TrackedTag
+	for i, epc := range []string{"urn:epc:S001", `odd<>&"\`, ""} {
+		tracked = append(tracked, sim.TrackedTag{
+			Tag:    scene.NewTag(epc),
+			Motion: scene.Place(geom.Vec3{X: 0.5 + 0.4*float64(i), Y: 1.2}, 0.3*float64(i), none),
+		})
+	}
+	stream, err := scene.CollectStream(tracked, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	j := testJournal(t, JournalConfig{Dir: dir, SegmentMaxRecords: 1 << 20})
+	var want bytes.Buffer
+	for _, rd := range stream {
+		line, err := json.Marshal(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+		want.WriteByte('\n')
+		if _, _, err := j.Append(rd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, journalPrefix+"*"+journalExt))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v (%v), want one", segs, err)
+	}
+	got, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("segment (%d bytes) differs from the json.Marshal lines (%d bytes)", len(got), want.Len())
+	}
+}
+
+// TestJournalAppendAllocs: an append that neither syncs nor rotates
+// allocates nothing.
+func TestJournalAppendAllocs(t *testing.T) {
+	j := testJournal(t, JournalConfig{SegmentMaxRecords: 1 << 20})
+	rd := testReading("urn:epc:S001", 7)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := j.Append(rd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Journal.Append: %v allocations per call, want 0", allocs)
+	}
 }
 
 // TestJournalAppendReplayRoundTrip: appended reports come back from

@@ -5,19 +5,40 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"rfprism/internal/api"
 )
 
-// maxReportLine bounds one NDJSON report line (a sim.Reading encodes
+// MaxReportLine bounds one NDJSON report line (a sim.Reading encodes
 // to well under 1 KiB; the margin tolerates vendor extensions).
-const maxReportLine = 1 << 20
+const MaxReportLine = 1 << 20
+
+// lineBuffers recycles the 64 KiB initial buffers of the report-line
+// scanners: every POST /v1/ingest, on the router and on each shard,
+// needs one, and a fresh one per request was the largest allocation
+// on the ingest path.
+var lineBuffers = sync.Pool{New: func() any {
+	b := make([]byte, 64*1024)
+	return &b
+}}
+
+// NewReportScanner returns a scanner of NDJSON report lines of up to
+// MaxReportLine bytes whose initial buffer comes from a pool. Call
+// release once neither the scanner nor a line it returned is in use.
+func NewReportScanner(r io.Reader) (sc *bufio.Scanner, release func()) {
+	buf := lineBuffers.Get().(*[]byte)
+	sc = bufio.NewScanner(r)
+	sc.Buffer((*buf)[:0], MaxReportLine)
+	return sc, func() { lineBuffers.Put(buf) }
+}
 
 // Server exposes the daemon's write side over HTTP:
 //
@@ -88,7 +109,7 @@ const (
 	CodeDraining       = "draining"         // daemon is shutting down
 	CodeNotFound       = "not_found"        // unknown endpoint or tag
 	CodeBadParam       = "bad_param"        // malformed query parameter
-	CodeReportTooLarge = "report_too_large" // one NDJSON line exceeds maxReportLine (413)
+	CodeReportTooLarge = "report_too_large" // one NDJSON line exceeds MaxReportLine (413)
 )
 
 // apiError is the uniform JSON error envelope (the canonical wire
@@ -110,8 +131,8 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string,
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxReportLine)
+	sc, release := NewReportScanner(r.Body)
+	defer release()
 	accepted, line := 0, 0
 	fail := func(status int, code string, retryAfter time.Duration, msg string) {
 		s.log.Debug("ingest refused", "path", r.URL.Path, "code", code,
@@ -199,7 +220,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// itself), matching the router's envelope.
 			line++
 			fail(http.StatusRequestEntityTooLarge, CodeReportTooLarge, 0,
-				fmt.Sprintf("line %d exceeds the %d-byte report line limit", line, maxReportLine))
+				fmt.Sprintf("line %d exceeds the %d-byte report line limit", line, MaxReportLine))
 			return
 		}
 		fail(http.StatusBadRequest, CodeBadReport, 0, err.Error())

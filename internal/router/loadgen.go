@@ -130,11 +130,7 @@ func RunLoad(ctx context.Context, h http.Handler, cfg LoadConfig, next func() (s
 		if !ok {
 			break
 		}
-		b, err := json.Marshal(rd)
-		if err != nil {
-			return rep, fmt.Errorf("router: marshal reading: %w", err)
-		}
-		chunk = append(chunk, b)
+		chunk = append(chunk, sim.AppendReading(nil, rd))
 		if len(chunk) >= cfg.ChunkLines {
 			if err := flush(); err != nil {
 				return rep, err

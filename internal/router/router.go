@@ -26,9 +26,9 @@ import (
 	"rfprism/internal/sim"
 )
 
-// maxReportLine bounds one NDJSON report line, mirroring the shard
-// daemon's own limit.
-const maxReportLine = 1 << 20
+// maxReportLine bounds one NDJSON report line: the shard daemon's own
+// limit.
+const maxReportLine = ingest.MaxReportLine
 
 // Config tunes the router. The zero value gets serving defaults.
 type Config struct {
@@ -323,8 +323,8 @@ type subResult struct {
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	t0 := rt.cfg.Now()
 	owner, _ := rt.snapshot()
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxReportLine)
+	sc, release := ingest.NewReportScanner(r.Body)
+	defer release()
 
 	committed := 0 // lines in fully-accepted flushed chunks
 	global := 0    // current line number
@@ -470,8 +470,8 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		global++
-		var rd sim.Reading
-		if err := json.Unmarshal(raw, &rd); err != nil {
+		rd, err := sim.ParseReading(raw)
+		if err != nil {
 			if ok, status, code, msg, shardID, retry := flush(r.Context()); !ok {
 				fail(status, code, msg, shardID, retry)
 				return
@@ -569,10 +569,19 @@ func worse(a, b subResult) bool {
 // lost after the shard offered the lines just deduplicates on the
 // re-send. HTTP-level refusals (backpressure, bad report, 5xx) are
 // never retried here — they propagate to the client, whose resume
-// path owns that recovery.
+// path owns that recovery. The body is built once, at its exact
+// size, and every attempt sends it from the start.
 func (rt *Router) sendBatch(ctx context.Context, b *shardBatch, streamID string) subResult {
+	n := 0
+	for _, pl := range b.lines {
+		n += len(pl.raw) + 1
+	}
+	body := make([]byte, 0, n)
+	for _, pl := range b.lines {
+		body = append(append(body, pl.raw...), '\n')
+	}
 	for attempt := 0; ; attempt++ {
-		res := rt.sendBatchOnce(ctx, b, streamID)
+		res := rt.sendBatchOnce(ctx, b, body, streamID)
 		if res.err == nil || errors.Is(res.err, errBreakerOpen) ||
 			attempt >= rt.cfg.Resilience.Retries || ctx.Err() != nil {
 			return res
@@ -586,7 +595,7 @@ func (rt *Router) sendBatch(ctx context.Context, b *shardBatch, streamID string)
 
 // sendBatchOnce is one attempt: breaker-gated, stream-stamped, and
 // its outcome fed back into the shard's health machine.
-func (rt *Router) sendBatchOnce(ctx context.Context, b *shardBatch, streamID string) subResult {
+func (rt *Router) sendBatchOnce(ctx context.Context, b *shardBatch, body []byte, streamID string) subResult {
 	res := subResult{sh: b.sh, sent: len(b.lines)}
 	if err := b.sh.ctl.acquire(); err != nil {
 		res.err = fmt.Errorf("shard %s: %w", b.sh.ID, err)
@@ -595,14 +604,9 @@ func (rt *Router) sendBatchOnce(ctx context.Context, b *shardBatch, streamID str
 	}
 	b.sh.met.Requests.Inc()
 	start := rt.cfg.Now()
-	var body bytes.Buffer
-	for _, pl := range b.lines {
-		body.Write(pl.raw)
-		body.WriteByte('\n')
-	}
 	tctx, cancel := context.WithTimeout(ctx, rt.cfg.ShardTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodPost, b.sh.BaseURL+"/v1/ingest", &body)
+	req, err := http.NewRequestWithContext(tctx, http.MethodPost, b.sh.BaseURL+"/v1/ingest", bytes.NewReader(body))
 	if err != nil {
 		res.err = err
 		b.sh.met.Errors.Inc()

@@ -79,8 +79,8 @@ type Hub struct {
 	wide   map[*Subscriber]struct{}
 	closed bool
 
-	subscribers atomic.Int64                 // current live subscribers
-	delivered   atomic.Int64                 // events enqueued
+	subscribers atomic.Int64                   // current live subscribers
+	delivered   atomic.Int64                   // events enqueued
 	drops       [DropShutdown + 1]atomic.Int64 // by DropReason
 }
 
