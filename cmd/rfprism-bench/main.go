@@ -117,24 +117,16 @@ func main() {
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Benchtime:  benchtime.String(),
-		SpeedupNote: "parallel speedup requires a multi-core runner; on a single-core host " +
-			"the Solve2DSweep parallelism=N rows and the ClusterStream shards=N rows " +
-			"equal their serial counterparts (scheduling overhead aside) — " +
-			"re-record on a multi-core machine to measure real speedup",
+		SpeedupNote: "parallelism>1 rows are recorded only when num_cpu and go_max_procs " +
+			"both exceed 1; the ClusterStream shards=N rows share the host's CPUs, " +
+			"so their speedup is bounded by num_cpu",
 	}
 
-	pars := []int{1, runtime.GOMAXPROCS(0)}
-	if pars[1] == 1 {
-		// Still record an explicit parallel configuration so the
-		// worker-pool overhead is visible even on one core.
-		pars[1] = 2
-	}
-	// The parallelism sweep the ROADMAP flags as unmeasured: the same
-	// Solve2D op across a fixed ladder of worker counts, so a report
-	// recorded on a multi-core runner directly exposes the scaling
-	// curve (and a single-core report exposes, honestly, the lack of
-	// one). Informational — not regression-gated.
-	for _, par := range []int{1, 2, 4, 8} {
+	pars, sweep := parallelLevels(runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	// The parallelism sweep: the same Solve2D op across a fixed ladder
+	// of worker counts, so a report recorded on a multi-core runner
+	// exposes the scaling curve. Informational — not regression-gated.
+	for _, par := range sweep {
 		par := par
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -347,6 +339,17 @@ func main() {
 		}
 		fmt.Printf("no gated regression beyond %.0f%% vs %s\n", *maxRegress, *against)
 	}
+}
+
+// parallelLevels returns the worker counts of the paired rows and of
+// the Solve2DSweep ladder. A parallel row measures worker scaling,
+// which one CPU cannot show, so with a single CPU (or GOMAXPROCS=1)
+// only the serial rows are emitted.
+func parallelLevels(numCPU, maxProcs int) (pars, sweep []int) {
+	if numCPU < 2 || maxProcs < 2 {
+		return []int{1}, []int{1}
+	}
+	return []int{1, maxProcs}, []int{1, 2, 4, 8}
 }
 
 // gatedBenchmarks are the rows whose regression fails a -against run.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -96,5 +97,25 @@ func TestCompareReportsMatchesOnParallelism(t *testing.T) {
 	_, failures := compareReports(baseline, current, 10, gatedBenchmarks)
 	if len(failures) != 1 || !strings.Contains(failures[0], "Solve2D/p1") {
 		t.Fatalf("failures = %v, want only Solve2D/p1", failures)
+	}
+}
+
+// TestParallelLevels: parallel rows appear only when more than one CPU
+// can run the workers.
+func TestParallelLevels(t *testing.T) {
+	for _, c := range []struct {
+		numCPU, maxProcs int
+		pars, sweep      string
+	}{
+		{1, 1, "[1]", "[1]"},
+		{4, 1, "[1]", "[1]"},
+		{1, 4, "[1]", "[1]"},
+		{2, 2, "[1 2]", "[1 2 4 8]"},
+		{8, 8, "[1 8]", "[1 2 4 8]"},
+	} {
+		pars, sweep := parallelLevels(c.numCPU, c.maxProcs)
+		if fmt.Sprint(pars) != c.pars || fmt.Sprint(sweep) != c.sweep {
+			t.Errorf("parallelLevels(%d, %d) = %v, %v; want %s, %s", c.numCPU, c.maxProcs, pars, sweep, c.pars, c.sweep)
+		}
 	}
 }

@@ -337,8 +337,9 @@ func orientCost(obs []Observation, psi []float64, w geom.Vec3) (cost, bt0 float6
 		o := &obs[i]
 		r := psi[i] - rf.OrientationPhase(o.Frame, w)
 		ww := obsWeight(o)
-		s += ww * math.Sin(r)
-		c += ww * math.Cos(r)
+		sr, cr := math.Sincos(r)
+		s += ww * sr
+		c += ww * cr
 		sw += ww
 	}
 	resultant := math.Hypot(s/sw, c/sw)
@@ -692,9 +693,12 @@ func polish2D(obs []Observation, est Estimate, bounds Bounds) Estimate {
 // normalizeAlpha maps an in-plane polarization angle to [0, π): a
 // dipole is symmetric under 180° rotation.
 func normalizeAlpha(a float64) float64 {
-	a = math.Mod(a, math.Pi)
+	a = mathx.Mod(a, math.Pi)
 	if a < 0 {
 		a += math.Pi
+		if a == math.Pi { // |a| < ulp(π)/2 rounds onto the open end
+			a = 0
+		}
 	}
 	return a
 }

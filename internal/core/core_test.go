@@ -234,4 +234,11 @@ func TestNormalizeAlpha(t *testing.T) {
 			t.Errorf("normalizeAlpha(%g) = %g, want %g", c.in, got, c.want)
 		}
 	}
+	// A negative angle smaller than half an ulp of π used to round up
+	// onto π itself, outside [0, π).
+	for _, a := range []float64{-1e-17, -5e-324} {
+		if got := normalizeAlpha(a); got != 0 {
+			t.Errorf("normalizeAlpha(%g) = %v, want 0", a, got)
+		}
+	}
 }

@@ -91,12 +91,9 @@ func (v Vec3) Unit() Vec3 {
 // FromSpherical returns the unit vector with azimuth φ (from +X toward
 // +Y) and elevation θ (from the XY plane toward +Z), both in radians.
 func FromSpherical(azimuth, elevation float64) Vec3 {
-	ce := math.Cos(elevation)
-	return Vec3{
-		X: ce * math.Cos(azimuth),
-		Y: ce * math.Sin(azimuth),
-		Z: math.Sin(elevation),
-	}
+	se, ce := math.Sincos(elevation)
+	sa, ca := math.Sincos(azimuth)
+	return Vec3{X: ce * ca, Y: ce * sa, Z: se}
 }
 
 // Spherical returns the azimuth and elevation of v (assumed nonzero).

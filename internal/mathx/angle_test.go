@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -170,5 +171,92 @@ func TestDegRadRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWrapOpenEnd: a negative input smaller in magnitude than half an
+// ulp of 2π used to round up onto 2π itself, outside [0, 2π).
+func TestWrapOpenEnd(t *testing.T) {
+	for _, x := range []float64{-1e-17, -5e-324} {
+		if got := Wrap2Pi(x); got != 0 {
+			t.Errorf("Wrap2Pi(%g) = %v, want 0", x, got)
+		}
+	}
+	if got := Wrap2Pi(-1e-15); got <= 0 || got >= TwoPi {
+		t.Errorf("Wrap2Pi(-1e-15) = %v, want just below 2π", got)
+	}
+}
+
+// modSeeds are the edge cases of the Mod fast path: signed zeros,
+// exact multiples of y and their neighbours, NaN and infinities,
+// subnormal y, and |x| at the 2⁴⁰·y fast-path limit.
+func modSeeds() [][2]float64 {
+	inf, nan := math.Inf(1), math.NaN()
+	var seeds [][2]float64
+	for _, y := range []float64{TwoPi, math.Pi, 180, 1, 0.1, 5e-324, 1e-310, math.MaxFloat64} {
+		for _, x := range []float64{
+			0, y, 3 * y, 1e6 * y, y * modFastSpan, y * (modFastSpan - 1), 0.5 * y,
+			math.Nextafter(y, 0), math.Nextafter(y, inf),
+			math.Nextafter(3*y, 0), math.Nextafter(3*y, inf),
+			math.Nextafter(y*modFastSpan, 0), math.Nextafter(y*modFastSpan, inf),
+			5e-324, 1, math.MaxFloat64, inf, nan,
+		} {
+			seeds = append(seeds, [2]float64{x, y}, [2]float64{-x, y})
+		}
+	}
+	for _, y := range []float64{0, -TwoPi, inf, -inf, nan, -5e-324} {
+		seeds = append(seeds, [2]float64{1, y}, [2]float64{-7.5, y}, [2]float64{0, y})
+	}
+	return append(seeds, [2]float64{math.Copysign(0, -1), TwoPi})
+}
+
+func checkMod(t *testing.T, x, y float64) {
+	t.Helper()
+	got, want := Mod(x, y), math.Mod(x, y)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Mod(%v, %v) = %v (%#x), math.Mod = %v (%#x)",
+			x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestModMatchesMathMod checks Mod against math.Mod bit for bit on the
+// edge seeds and a seeded sweep of the wrap helpers' input ranges.
+func TestModMatchesMathMod(t *testing.T) {
+	for _, s := range modSeeds() {
+		checkMod(t, s[0], s[1])
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		y := []float64{TwoPi, math.Pi, 180}[i%3]
+		x := (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(60)-10)
+		checkMod(t, x, y)
+		checkMod(t, math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// FuzzMod: Mod must equal math.Mod bit for bit, sign of zero included.
+func FuzzMod(f *testing.F) {
+	for _, s := range modSeeds() {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(checkMod)
+}
+
+// TestSincosMatchesSinCos: the solve path takes sine and cosine of one
+// angle from math.Sincos, which must equal math.Sin and math.Cos bit
+// for bit on finite inputs for the estimates to stay unchanged.
+func TestSincosMatchesSinCos(t *testing.T) {
+	check := func(x float64) {
+		s, c := math.Sincos(x)
+		if math.Float64bits(s) != math.Float64bits(math.Sin(x)) || math.Float64bits(c) != math.Float64bits(math.Cos(x)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin/Cos = (%v, %v)", x, s, c, math.Sin(x), math.Cos(x))
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), 5e-324, math.Pi, -math.Pi / 2, 1 << 29, 1 << 30, 1e300, math.MaxFloat64} {
+		check(x)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 200000; i++ {
+		check((rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(80)-20))
 	}
 }

@@ -234,11 +234,16 @@ func NelderMeadOpt(f func([]float64) float64, x0 []float64, scale float64, opts 
 	if maxIter <= 0 {
 		maxIter = 500
 	}
+	// One slab holds the n+1 vertices, their values, the centroid,
+	// the two trial points and the returned best point.
+	slab := make([]float64, (n+5)*n+n+1)
+	vec := func(i int) []float64 { return slab[i*n : (i+1)*n : (i+1)*n] }
+	vals := slab[(n+5)*n:]
+	centroid, trial, expand, best := vec(n+1), vec(n+2), vec(n+3), vec(n+4)
 	// Initial simplex.
 	pts := make([][]float64, n+1)
-	vals := make([]float64, n+1)
 	for i := range pts {
-		p := make([]float64, n)
+		p := vec(i)
 		copy(p, x0)
 		if i > 0 {
 			p[i-1] += scale
@@ -260,9 +265,6 @@ func NelderMeadOpt(f func([]float64) float64, x0 []float64, scale float64, opts 
 			}
 		}
 	}
-	centroid := make([]float64, n)
-	trial := make([]float64, n)
-	expand := make([]float64, n)
 	for iter := 0; iter < maxIter; iter++ {
 		order()
 		if math.Abs(vals[n]-vals[0]) < 1e-14*(math.Abs(vals[0])+1e-14) {
@@ -275,15 +277,11 @@ func NelderMeadOpt(f func([]float64) float64, x0 []float64, scale float64, opts 
 			break
 		}
 		for j := range centroid {
-			centroid[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				centroid[j] += pts[i][j]
+			var s float64
+			for i := 0; i < n; i++ {
+				s += pts[i][j]
 			}
-		}
-		for j := range centroid {
-			centroid[j] /= float64(n)
+			centroid[j] = s / float64(n)
 		}
 		// Reflection.
 		for j := 0; j < n; j++ {
@@ -328,7 +326,6 @@ func NelderMeadOpt(f func([]float64) float64, x0 []float64, scale float64, opts 
 		}
 	}
 	order()
-	best := make([]float64, n)
 	copy(best, pts[0])
 	return best, vals[0]
 }

@@ -144,3 +144,23 @@ func TestNelderMeadDegenerate(t *testing.T) {
 		t.Fatalf("empty x0: %v", got)
 	}
 }
+
+// TestNelderMeadAllocs pins the simplex to one slab: the vertex
+// headers and one float64 slab per call, whatever the dimension.
+func TestNelderMeadAllocs(t *testing.T) {
+	f := func(x []float64) float64 {
+		var s float64
+		for i, v := range x {
+			d := v - float64(i)
+			s += d * d
+		}
+		return s
+	}
+	x0 := []float64{3, -1, 2, 0.5, 7}
+	got := testing.AllocsPerRun(20, func() {
+		NelderMeadOpt(f, x0, 0.5, NMOptions{MaxIter: 200})
+	})
+	if got != 2 {
+		t.Fatalf("NelderMeadOpt allocates %v times per call, want 2", got)
+	}
+}

@@ -51,7 +51,8 @@ func PolarizationLossDB(frame geom.Frame, w geom.Vec3) float64 {
 // TagPolarization2D returns the 3D polarization vector of a tag lying
 // in the XY working plane with in-plane rotation alpha (radians).
 func TagPolarization2D(alpha float64) geom.Vec3 {
-	return geom.Vec3{X: math.Cos(alpha), Y: math.Sin(alpha), Z: 0}
+	s, c := math.Sincos(alpha)
+	return geom.Vec3{X: c, Y: s, Z: 0}
 }
 
 // TagPolarization3D returns the polarization vector for a tag oriented

@@ -11,6 +11,8 @@ package rf
 import (
 	"fmt"
 	"math"
+
+	"rfprism/internal/mathx"
 )
 
 const (
@@ -100,7 +102,7 @@ func DistanceFromSlope(k float64) float64 {
 // and wraps it into [0, 2π).
 func QuantizePhase(theta float64) float64 {
 	q := math.Round(theta/PhaseQuantum) * PhaseQuantum
-	q = math.Mod(q, 2*math.Pi)
+	q = mathx.Mod(q, 2*math.Pi)
 	if q < 0 {
 		q += 2 * math.Pi
 	}

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"rfprism/internal/mathx"
 )
 
 // Fault injection.
@@ -296,7 +298,7 @@ func (fi *FaultInjector) injectLocked(readings []Reading) []Reading {
 		}
 		if faded[rd.Channel] {
 			rd.RSSI -= fi.cfg.FadeDepthDB
-			p := math.Mod(rd.Phase+fi.rng.NormFloat64()*fi.cfg.FadePhaseStd, 2*math.Pi)
+			p := mathx.Mod(rd.Phase+fi.rng.NormFloat64()*fi.cfg.FadePhaseStd, 2*math.Pi)
 			if p < 0 {
 				p += 2 * math.Pi
 			}
