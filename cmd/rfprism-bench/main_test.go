@@ -119,3 +119,35 @@ func TestParallelLevels(t *testing.T) {
 		}
 	}
 }
+
+// TestMedianRecord: repeats fold into the per-metric median (upper
+// median for an even count) with the min/max spread of the gated
+// metrics, so one noisy repeat moves neither the recorded row nor the
+// -against comparison.
+func TestMedianRecord(t *testing.T) {
+	runs := []benchRecord{
+		{Name: "Solve2D", Parallelism: 1, NsPerOp: 900, AllocsPerOp: 7, WindowsPerSec: 40, ReadQPS: 5},
+		{Name: "Solve2D", Parallelism: 1, NsPerOp: 3000, AllocsPerOp: 7, WindowsPerSec: 12, ReadQPS: 9},
+		{Name: "Solve2D", Parallelism: 1, NsPerOp: 1000, AllocsPerOp: 9, WindowsPerSec: 36, ReadQPS: 1},
+	}
+	got := medianRecord(runs)
+	want := benchRecord{
+		Name: "Solve2D", Parallelism: 1, Runs: 3,
+		NsPerOp: 1000, NsPerOpMin: 900, NsPerOpMax: 3000, AllocsPerOp: 7,
+		WindowsPerSec: 36, WindowsMin: 12, WindowsMax: 40,
+		ReadQPS: 5, ReadQPSMin: 1, ReadQPSMax: 9,
+	}
+	if got != want {
+		t.Fatalf("medianRecord = %+v\nwant %+v", got, want)
+	}
+	if even := medianRecord(runs[:2]); even.NsPerOp != 3000 || even.Runs != 2 {
+		t.Fatalf("even count: ns/op %d runs %d, want the upper median 3000 over 2", even.NsPerOp, even.Runs)
+	}
+	// The gate compares medians: the 3000 ns/op outlier alone is no
+	// regression against a 1000 ns/op baseline.
+	_, failures := compareReports(benchReport{Benchmarks: []benchRecord{rec("Solve2D", 1, 1000)}},
+		benchReport{Benchmarks: []benchRecord{got}}, 10, gatedBenchmarks)
+	if len(failures) != 0 {
+		t.Fatalf("median row flagged: %v", failures)
+	}
+}

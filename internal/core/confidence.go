@@ -104,7 +104,7 @@ const (
 // already produced by Solve2D/Solve3D over the same observations. It
 // is a pure post-pass: the solver's result is not modified, and the
 // evaluation costs a few hundred objective calls (numerical Hessian +
-// short ambiguity probes) — small next to the multistart itself.
+// a handful of ambiguity probes) — small next to the multistart itself.
 func EvaluateConfidence(obs []Observation, est Estimate, mode3D bool, bounds Bounds, opts Options) (*Confidence, error) {
 	opts.defaults()
 	if len(obs) < MinAntennas(mode3D) {
@@ -295,14 +295,12 @@ var ambiguityOffsets = []float64{-0.16, -0.08, 0.08, 0.16}
 // to count as a distinct basin rather than the same minimum re-found.
 const ambiguityEscape = 0.04
 
-// ambiguityProbeIters budgets each short probe refinement.
-const ambiguityProbeIters = 80
-
-// ambiguityMargin scores the 2π ambiguity explicitly: short
-// Nelder–Mead probes started one and two wrap basins away on each
-// position axis either fall back into the solution's basin (strong
-// margin) or settle in an alternative basin whose cost gap — in NLL
-// units, (altCost − baseCost)/2 — is the margin. Probes that all
+// ambiguityMargin scores the 2π ambiguity explicitly: Levenberg–
+// Marquardt probes started one and two wrap basins away on each
+// position axis, under the multistart's own iteration cap, either fall
+// back into the solution's basin (strong margin) or settle in an
+// alternative basin whose cost gap — in NLL units,
+// (altCost − baseCost)/2 — is the margin. Probes that all
 // collapse home fall back to the unoptimized offset-point costs, which
 // upper-bound how good any alternative basin could look.
 func ambiguityMargin(sc *solveScratch, est Estimate, mode3D bool, bounds Bounds, baseCost float64) (margin float64, altBasins int) {
@@ -332,13 +330,13 @@ func ambiguityMargin(sc *solveScratch, est Estimate, mode3D bool, bounds Bounds,
 				if raw := sc.jointCost3D(p0); raw < bestRaw {
 					bestRaw = raw
 				}
-				cand = runJoint3D(sc, p0, bounds, ambiguityProbeIters, 0)
+				cand = runJoint3D(sc, p0, bounds, jointIters3D, 0)
 			} else {
 				p0 := []float64{pos.X, pos.Y, est.Alpha, est.Kt, est.Bt0}
 				if raw := sc.jointCost2D(p0); raw < bestRaw {
 					bestRaw = raw
 				}
-				cand = runJoint2D(sc, p0, bounds, ambiguityProbeIters, 0)
+				cand = runJoint2D(sc, p0, bounds, jointIters2D, 0)
 			}
 			if cand.Pos.Dist(est.Pos) >= ambiguityEscape {
 				altBasins++

@@ -66,6 +66,17 @@ func warmCostCeiling(factor, warmCost float64, n int) float64 {
 	return factor * math.Max(warmCost, WarmCostFloor(n))
 }
 
+// warmAccepted is the exit guard: the warm solution must cost no more
+// than the ceiling and stay within WarmRadius of the warm position. A
+// Levenberg–Marquardt start follows the smooth slope residuals a long
+// way, so a moved tag can pull a warm start out of its basin-local set
+// into whichever wrap basin it reaches first; picking the basin is the
+// cold multistart's job.
+func warmAccepted(best, warm Estimate, n int, opts Options) bool {
+	return best.Cost <= warmCostCeiling(opts.WarmGuardFactor, warm.Cost, n) &&
+		best.Pos.Dist(warm.Pos) <= opts.WarmRadius
+}
+
 // warmConsistent2D/3D is the entry guard: refine the slope-only fix
 // starting from the warm position; if the refined fix walks away from
 // the warm position AND the warm position's slope cost is far above
@@ -111,7 +122,7 @@ func solve2DWarm(sc *solveScratch, bounds Bounds, opts Options) (Estimate, bool)
 		cands[i] = runJoint2D(sc, starts[i], bounds, jointIters2D, warm.Cost)
 	})
 	best := finish2D(sc, reduceMinCost(cands), bounds, opts)
-	if best.Cost > warmCostCeiling(opts.WarmGuardFactor, warm.Cost, len(sc.obs)) {
+	if !warmAccepted(best, warm, len(sc.obs), opts) {
 		return Estimate{}, false
 	}
 	return best, true
@@ -148,13 +159,13 @@ func solve3DWarm(sc *solveScratch, bounds Bounds, opts Options) (Estimate, bool)
 		cands[i] = runJoint3D(sc, starts[i], bounds, jointIters3D, warm.Cost)
 	})
 	best := refinePolar3D(sc, reduceMinCost(cands))
-	if best.Cost > warmCostCeiling(opts.WarmGuardFactor, warm.Cost, len(sc.obs)) {
+	if !warmAccepted(best, warm, len(sc.obs), opts) {
 		return Estimate{}, false
 	}
 	return best, true
 }
 
-// pruneBudgets assigns per-start NelderMead budgets for adaptive
+// pruneBudgets assigns per-start iteration budgets for adaptive
 // pruning: rank the starts by their start-point joint cost and keep
 // the full budget only for the best PruneKeep fraction — the rest get
 // the short PruneIters cap. A start that must traverse a high-cost

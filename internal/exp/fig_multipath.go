@@ -51,29 +51,9 @@ func RunFig12(cfg Config, reps int, spec MatSpec) (*Fig12Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		none, err := rf.MaterialByName("none")
+		locErrs, orientErrs, rejected, err := locRow(s, reps)
 		if err != nil {
 			return nil, err
-		}
-		var locErrs, orientErrs []float64
-		rejected := 0
-		rng := s.Scene.Rand()
-		// Serial collection (the alpha draws and window synthesis share
-		// the scene RNG), parallel disentangling.
-		var specs []TrialSpec
-		for _, pos := range s.GridPositions() {
-			for r := 0; r < reps; r++ {
-				alpha := mathx.Rad(float64(PaperDegrees[rng.Intn(len(PaperDegrees))]))
-				specs = append(specs, s.CollectTrial(pos, alpha, none))
-			}
-		}
-		for _, o := range s.ProcessTrials(context.Background(), specs) {
-			if o.Err != nil {
-				rejected++
-				continue
-			}
-			locErrs = append(locErrs, o.Trial.LocErrM*100)
-			orientErrs = append(orientErrs, o.Trial.OrientErrDeg)
 		}
 
 		matCampaign, err := RunMatCampaign(scCfg, spec)
@@ -92,6 +72,36 @@ func RunFig12(cfg Config, reps int, spec MatSpec) (*Fig12Result, error) {
 		out.Rejected = append(out.Rejected, rejected+matCampaign.Rejected)
 	}
 	return out, nil
+}
+
+// locRow runs the localization part of one Fig. 12 scenario: reps
+// windows per grid position, each at a random paper degree. It returns
+// the per-window localization (cm) and orientation (deg) errors and the
+// number of windows the error detector rejected.
+func locRow(s *Setup, reps int) (locErrs, orientErrs []float64, rejected int, err error) {
+	none, err := rf.MaterialByName("none")
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	rng := s.Scene.Rand()
+	// Serial collection (the alpha draws and window synthesis share
+	// the scene RNG), parallel disentangling.
+	var specs []TrialSpec
+	for _, pos := range s.GridPositions() {
+		for r := 0; r < reps; r++ {
+			alpha := mathx.Rad(float64(PaperDegrees[rng.Intn(len(PaperDegrees))]))
+			specs = append(specs, s.CollectTrial(pos, alpha, none))
+		}
+	}
+	for _, o := range s.ProcessTrials(context.Background(), specs) {
+		if o.Err != nil {
+			rejected++
+			continue
+		}
+		locErrs = append(locErrs, o.Trial.LocErrM*100)
+		orientErrs = append(orientErrs, o.Trial.OrientErrDeg)
+	}
+	return locErrs, orientErrs, rejected, nil
 }
 
 // String renders Fig. 12.

@@ -160,8 +160,7 @@ func SolveLU(a *Mat, b []float64) ([]float64, error) {
 }
 
 // SolveCholesky solves a·x = b for a symmetric positive-definite a.
-// It is roughly twice as fast as SolveLU and is what the normal
-// equations inside the Levenberg–Marquardt loop use.
+// It is roughly twice as fast as SolveLU.
 func SolveCholesky(a *Mat, b []float64) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n {
@@ -170,43 +169,59 @@ func SolveCholesky(a *Mat, b []float64) ([]float64, error) {
 	if len(b) != n {
 		return nil, fmt.Errorf("mathx: SolveCholesky rhs length %d, want %d", len(b), n)
 	}
-	// Lower-triangular factor L with a·= L·Lᵀ.
-	l := NewMat(n, n)
+	buf := make([]float64, n*n+n)
+	l, x := buf[:n*n], buf[n*n:]
+	copy(l, a.Data)
+	if !choleskyFactor(l, n) {
+		return nil, ErrSingular
+	}
+	choleskySolve(l, n, b, x)
+	return x, nil
+}
+
+// choleskyFactor overwrites the lower triangle of the row-major n×n
+// symmetric matrix a with its Cholesky factor L (a = L·Lᵀ); the upper
+// triangle is left as it was. It reports false when a is not positive
+// definite.
+func choleskyFactor(a []float64, n int) bool {
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
+			s := a[i*n+j]
 			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+				s -= a[i*n+k] * a[j*n+k]
 			}
 			if i == j {
 				if s <= 0 {
-					return nil, ErrSingular
+					return false
 				}
-				l.Set(i, i, math.Sqrt(s))
+				a[i*n+i] = math.Sqrt(s)
 			} else {
-				l.Set(i, j, s/l.At(j, j))
+				a[i*n+j] = s / a[j*n+j]
 			}
 		}
 	}
-	// Forward solve L·y = b.
-	y := make([]float64, n)
+	return true
+}
+
+// choleskySolve solves L·Lᵀ·x = b given the factor from choleskyFactor.
+// x may alias b.
+func choleskySolve(l []float64, n int, b, x []float64) {
+	// Forward solve L·y = b, y stored in x.
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
+			s -= l[i*n+k] * x[k]
 		}
-		y[i] = s / l.At(i, i)
+		x[i] = s / l[i*n+i]
 	}
 	// Back solve Lᵀ·x = y.
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
-		s := y[i]
+		s := x[i]
 		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
+			s -= l[k*n+i] * x[k]
 		}
-		x[i] = s / l.At(i, i)
+		x[i] = s / l[i*n+i]
 	}
-	return x, nil
 }
 
 // LeastSquares solves the overdetermined system a·x ≈ b in the
