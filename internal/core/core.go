@@ -210,9 +210,10 @@ func (o *Options) defaults() {
 //
 // pruneIters is the default PruneStarts cap: 0.3 of the 2D cap, the
 // share the pruned tranche kept of the old 200-iteration simplex
-// budget. A typical start converges in about 15 iterations, so the
-// cap cuts the tranche's slow, far-from-any-minimum starts, which a cap
-// at or above the full budget would not touch.
+// budget. About half the starts of the 54-start 2D multistart take
+// more than 9 iterations (9.6 on average), so the cap stops many pruned
+// starts short of convergence; a cap at or above the full budget would
+// stop none.
 const (
 	jointIters2D = 30
 	jointIters3D = 60
@@ -419,15 +420,15 @@ func Solve2D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 		return solveDetached2D(sc, posA), nil
 	}
 
-	// Stage 2: joint multistart over position offsets (to cover the
-	// λ/2 wrap basins around the coarse fix) and orientation starts.
-	// Every start is an independent optimizer run, so the 294 starts
+	// Stage 2: joint multistart over position offsets (the coarse
+	// fix's λ/2 wrap basin and its neighbors) and orientation starts.
+	// Every start is an independent optimizer run, so the 54 starts
 	// fan out across the worker pool; the reduction keeps the
 	// lowest-cost candidate with ties broken toward the lowest start
 	// index, which is exactly what the serial scan produced.
-	starts := make([][]float64, 0, len(jointOffsets)*len(jointOffsets)*6)
-	for _, dx := range jointOffsets {
-		for _, dy := range jointOffsets {
+	starts := make([][]float64, 0, len(basinOffsets)*len(basinOffsets)*orientStarts2D)
+	for _, dx := range basinOffsets {
+		for _, dy := range basinOffsets {
 			x0 := clamp(posA.X+dx, bounds.XMin, bounds.XMax)
 			y0 := clamp(posA.Y+dy, bounds.YMin, bounds.YMax)
 			_, kt0 := sc.slopeCost(geom.Vec3{X: x0, Y: y0})
@@ -435,8 +436,8 @@ func Solve2D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 			// depends only on the position, so compute it once per
 			// offset rather than per orientation start.
 			sc.setPsi(geom.Vec3{X: x0, Y: y0})
-			for a := 0; a < 6; a++ {
-				alpha0 := float64(a) * math.Pi / 6
+			for a := 0; a < orientStarts2D; a++ {
+				alpha0 := float64(a) * math.Pi / orientStarts2D
 				_, bt0 := orientCost(sc.obs, sc.psi, rf.TagPolarization2D(alpha0))
 				starts = append(starts, []float64{x0, y0, alpha0, kt0, bt0})
 			}
@@ -534,11 +535,14 @@ func refineAngle(f func(float64) float64, center, halfWidth float64) float64 {
 	return (a + b) / 2
 }
 
-// jointOffsets covers the wrap basins around the slope-only fix in
-// each axis: ±24 cm at 8 cm (≈λ/4) steps. At the far corners of the
-// region the slope-only fix can be 20+ cm off, so the multistart must
-// reach past one basin.
-var jointOffsets = []float64{-0.24, -0.16, -0.08, 0, 0.08, 0.16, 0.24}
+// basinOffsets are the per-axis start offsets of the cold and warm 2D
+// multistarts: the centre λ/2 wrap basin and one 8 cm (≈λ/4) step
+// either side. LM starts follow the smooth slope residuals across
+// basins, so they reach the tag's even when the slope fix is 20+ cm off.
+var basinOffsets = []float64{-0.08, 0, 0.08}
+
+// orientStarts2D cold orientation starts per offset span [0, π).
+const orientStarts2D = 6
 
 func makePsi(obs []Observation, pos geom.Vec3) []float64 {
 	psi := make([]float64, len(obs))

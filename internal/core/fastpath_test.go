@@ -278,9 +278,10 @@ func TestSolve2DPruneStaysAccurate(t *testing.T) {
 			t.Errorf("%+v: pruned solve position error %.3f m", c, d)
 		}
 	}
-	// 294 starts, keep ceil(0.25·294) = 74 → 220 pruned per solve.
-	if got := stats.StartsPruned.Load(); got != 2*220 {
-		t.Errorf("StartsPruned = %d, want 440", got)
+	// Both solves prune every start outside the default PruneKeep 25%.
+	n := len(basinOffsets) * len(basinOffsets) * orientStarts2D
+	if got, want := stats.StartsPruned.Load(), int64(2*(n-int(math.Ceil(0.25*float64(n))))); got != want {
+		t.Errorf("StartsPruned = %d, want %d (%d starts per solve)", got, want, n)
 	}
 }
 

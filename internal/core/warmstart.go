@@ -41,11 +41,6 @@ func (o Options) countPruned(n int) {
 	}
 }
 
-// warmOffsets covers the warm wrap basin and its immediate neighbors:
-// ±8 cm (≈λ/4) around the previous position — 9 starts in 2D instead
-// of the cold path's 294.
-var warmOffsets = []float64{-0.08, 0, 0.08}
-
 const (
 	// warmSlopeFactor/warmSlopeSlack bound how much worse the warm
 	// position's slope cost may be than the freshly refined slope
@@ -81,10 +76,10 @@ func warmAccepted(best, warm Estimate, n int, opts Options) bool {
 // starting from the warm position; if the refined fix walks away from
 // the warm position AND the warm position's slope cost is far above
 // the refined minimum, the tag moved basins and the warm seed is
-// stale. The refined fix wandering alone is not disqualifying — at the
-// far corners of the region the slope surface is shallow and its
-// minimum sits 20+ cm from the true (and warm) position even for a
-// stationary tag.
+// stale. The refined fix wandering alone is not disqualifying — the
+// slope surface is shallow, and its minimum sits more than 20 cm from
+// the true (and warm) position in about one window in eight even for a
+// stationary tag, in the region's interior as well as along its edges.
 func warmConsistent(sc *solveScratch, warmPos, refined geom.Vec3, radius float64) bool {
 	if refined.Dist(warmPos) <= radius {
 		return true
@@ -105,9 +100,9 @@ func solve2DWarm(sc *solveScratch, bounds Bounds, opts Options) (Estimate, bool)
 	if !warmConsistent(sc, warm.Pos, posW, opts.WarmRadius) {
 		return Estimate{}, false
 	}
-	starts := make([][]float64, 0, len(warmOffsets)*len(warmOffsets))
-	for _, dx := range warmOffsets {
-		for _, dy := range warmOffsets {
+	starts := make([][]float64, 0, len(basinOffsets)*len(basinOffsets))
+	for _, dx := range basinOffsets {
+		for _, dy := range basinOffsets {
 			x0 := clamp(warm.Pos.X+dx, bounds.XMin, bounds.XMax)
 			y0 := clamp(warm.Pos.Y+dy, bounds.YMin, bounds.YMax)
 			p0 := geom.Vec3{X: x0, Y: y0}
