@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rfprism/internal/api"
+	"rfprism/internal/sim"
 )
 
 // MaxReportLine bounds one NDJSON report line (a sim.Reading encodes
@@ -130,9 +131,37 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string,
 	api.WriteError(w, status, code, msg, retryAfter)
 }
 
+// admitBatchLines is how many decoded lines the ingest handler
+// offers to the daemon in one call.
+const admitBatchLines = 256
+
+// admitBatch holds a request's decoded lines until they are offered.
+type admitBatch struct {
+	rds  []sim.Reading
+	pos  []uint64 // stream positions, when the request names a stream
+	line []int    // request line numbers, for the error envelope
+}
+
+var admitBatches = sync.Pool{New: func() any {
+	return &admitBatch{
+		rds:  make([]sim.Reading, 0, admitBatchLines),
+		pos:  make([]uint64, 0, admitBatchLines),
+		line: make([]int, 0, admitBatchLines),
+	}
+}}
+
+func (b *admitBatch) reset() {
+	b.rds, b.pos, b.line = b.rds[:0], b.pos[:0], b.line[:0]
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sc, release := NewReportScanner(r.Body)
 	defer release()
+	b := admitBatches.Get().(*admitBatch)
+	defer func() {
+		b.reset()
+		admitBatches.Put(b)
+	}()
 	accepted, line := 0, 0
 	fail := func(status int, code string, retryAfter time.Duration, msg string) {
 		s.log.Debug("ingest refused", "path", r.URL.Path, "code", code,
@@ -154,7 +183,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	var pos *StreamPos
 	if streamID != "" {
-		pos = &StreamPos{base: 1} // default: positions are line order
+		pos = &StreamPos{next: 1} // default: positions are line order
 		if raw := r.Header.Get(HeaderStreamPos); raw != "" {
 			var err error
 			if pos, err = ParseStreamPos(raw); err != nil {
@@ -163,7 +192,45 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	idx := 0 // non-blank line index, drives position lookup
+	// admit offers the decoded lines and empties the batch. A refusal
+	// is answered as the line-by-line offers would have been: the
+	// lines before the refused one are accepted, and "line" names it.
+	admit := func() bool {
+		if len(b.rds) == 0 {
+			return true
+		}
+		var dups, taken int
+		var err error
+		if pos != nil {
+			dups, taken, err = s.dedup.admit(streamID, b.pos, func(from int) (int, error) {
+				return s.d.OfferBatch(b.rds[from:])
+			})
+		} else {
+			taken, err = s.d.OfferBatch(b.rds)
+		}
+		if dups > 0 {
+			// Already offered by an earlier delivery of this stream: a
+			// retried sub-batch, a resume overshoot. Skipped, accepted.
+			s.d.Metrics().ReportsDeduped.Add(int64(dups))
+		}
+		accepted += dups + taken
+		if err == nil {
+			b.reset()
+			return true
+		}
+		line = b.line[dups+taken]
+		switch {
+		case errors.Is(err, ErrBusy):
+			secs := retryAfterSeconds(s.d.RetryAfter(), s.jitter())
+			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			fail(http.StatusTooManyRequests, CodeBackpressure, time.Duration(secs)*time.Second, err.Error())
+		case errors.Is(err, ErrDraining):
+			fail(http.StatusServiceUnavailable, CodeDraining, 0, err.Error())
+		default:
+			fail(http.StatusBadRequest, CodeBadReport, 0, fmt.Sprintf("line %d: %v", line, err))
+		}
+		return false
+	}
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
@@ -172,45 +239,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		linePos := uint64(0)
 		if pos != nil {
-			p, err := pos.At(idx)
+			p, err := pos.Next()
 			if err != nil {
-				fail(http.StatusBadRequest, CodeBadParam, 0, err.Error())
+				if admit() {
+					fail(http.StatusBadRequest, CodeBadParam, 0, err.Error())
+				}
 				return
 			}
 			linePos = p
 		}
-		idx++
 		rd, err := decodeReading(raw)
 		if err != nil {
-			fail(http.StatusBadRequest, CodeBadReport, 0, fmt.Sprintf("line %d: %v", line, err))
+			if admit() {
+				fail(http.StatusBadRequest, CodeBadReport, 0, fmt.Sprintf("line %d: %v", line, err))
+			}
 			return
 		}
-		dup := false
-		if linePos != 0 {
-			dup, err = s.dedup.offer(streamID, linePos, func() error { return s.d.Offer(rd) })
-		} else {
-			err = s.d.Offer(rd)
-		}
-		switch {
-		case dup:
-			// Already offered by an earlier delivery of this stream: a
-			// retried sub-batch, a resume overshoot. Skip, still accept.
-			accepted++
-			s.d.Metrics().ReportsDeduped.Inc()
-		case err == nil:
-			accepted++
-		case errors.Is(err, ErrBusy):
-			secs := retryAfterSeconds(s.d.RetryAfter(), s.jitter())
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			fail(http.StatusTooManyRequests, CodeBackpressure, time.Duration(secs)*time.Second, err.Error())
-			return
-		case errors.Is(err, ErrDraining):
-			fail(http.StatusServiceUnavailable, CodeDraining, 0, err.Error())
-			return
-		default:
-			fail(http.StatusBadRequest, CodeBadReport, 0, fmt.Sprintf("line %d: %v", line, err))
+		b.rds, b.pos, b.line = append(b.rds, rd), append(b.pos, linePos), append(b.line, line)
+		if len(b.rds) == admitBatchLines && !admit() {
 			return
 		}
+	}
+	if !admit() {
+		return
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {

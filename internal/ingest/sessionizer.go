@@ -13,6 +13,7 @@ package ingest
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -136,13 +137,26 @@ func ValidateReading(rd sim.Reading) error {
 // session is one tag's window under assembly.
 type session struct {
 	readings []sim.Reading
-	channels map[int]bool
-	antennas map[int]bool
-	opened   time.Time
-	deadline time.Time
-	seq      int
-	firstSeq uint64
-	lastSeq  uint64
+	// channels is the set of channels heard, one bit each:
+	// ValidateReading bounds them below rf.NumChannels ≤ 64.
+	channels uint64
+	// antennas holds antennas 0–63 as bits; other antenna numbers,
+	// which ValidateReading does not bound, go in antennasOther.
+	antennas      uint64
+	antennasOther map[int]bool
+	opened        time.Time
+	deadline      time.Time
+	seq           int
+	firstSeq      uint64
+	lastSeq       uint64
+}
+
+// The channel bitset needs every channel number below 64.
+var _ [64 - rf.NumChannels]struct{}
+
+// numAntennas counts the distinct antennas heard.
+func (s *session) numAntennas() int {
+	return bits.OnesCount64(s.antennas) + len(s.antennasOther)
 }
 
 // Sessionizer groups a mixed report stream into per-EPC hop-round
@@ -203,11 +217,15 @@ func (z *Sessionizer) AddSeq(rd sim.Reading, seq uint64, now time.Time) (ClosedW
 	if err := ValidateReading(rd); err != nil {
 		return ClosedWindow{}, false, err
 	}
+	cw, closed := z.add(rd, seq, now)
+	return cw, closed, nil
+}
+
+// add is AddSeq of a report ValidateReading accepted.
+func (z *Sessionizer) add(rd sim.Reading, seq uint64, now time.Time) (ClosedWindow, bool) {
 	s := z.tags[rd.EPC]
 	if s == nil {
 		s = &session{
-			channels: make(map[int]bool),
-			antennas: make(map[int]bool),
 			opened:   now,
 			deadline: now.Add(z.cfg.Dwell),
 			seq:      z.seqs[rd.EPC],
@@ -217,41 +235,48 @@ func (z *Sessionizer) AddSeq(rd sim.Reading, seq uint64, now time.Time) (ClosedW
 	}
 	s.lastSeq = seq
 	s.readings = append(s.readings, rd)
-	s.channels[rd.Channel] = true
-	s.antennas[rd.Antenna] = true
+	s.channels |= 1 << uint(rd.Channel)
+	if uint(rd.Antenna) < 64 {
+		s.antennas |= 1 << uint(rd.Antenna)
+	} else {
+		if s.antennasOther == nil {
+			s.antennasOther = make(map[int]bool)
+		}
+		s.antennasOther[rd.Antenna] = true
+	}
 	z.buffered++
 	switch {
-	case len(s.channels) >= z.cfg.CoverageClose:
+	case bits.OnesCount64(s.channels) >= z.cfg.CoverageClose:
 		return z.close(rd.EPC, s, CloseCoverage, now)
 	case len(s.readings) >= z.cfg.MaxReadings:
 		return z.close(rd.EPC, s, CloseOverflow, now)
 	}
-	return ClosedWindow{}, false, nil
+	return ClosedWindow{}, false
 }
 
 // close removes the session and packages it as a ClosedWindow, unless
 // the window is unusable (fewer than MinAntennas distinct antennas),
 // in which case it is discarded and counted.
-func (z *Sessionizer) close(epc string, s *session, reason CloseReason, now time.Time) (ClosedWindow, bool, error) {
+func (z *Sessionizer) close(epc string, s *session, reason CloseReason, now time.Time) (ClosedWindow, bool) {
 	delete(z.tags, epc)
 	z.seqs[epc] = s.seq + 1
 	z.buffered -= len(s.readings)
-	if len(s.antennas) < z.cfg.MinAntennas {
+	if s.numAntennas() < z.cfg.MinAntennas {
 		z.discarded++
-		return ClosedWindow{}, false, nil
+		return ClosedWindow{}, false
 	}
 	return ClosedWindow{
 		EPC:      epc,
 		Seq:      s.seq,
 		Readings: s.readings,
 		Reason:   reason,
-		Channels: len(s.channels),
-		Antennas: len(s.antennas),
+		Channels: bits.OnesCount64(s.channels),
+		Antennas: s.numAntennas(),
 		Opened:   s.opened,
 		Closed:   now,
 		FirstSeq: s.firstSeq,
 		LastSeq:  s.lastSeq,
-	}, true, nil
+	}, true
 }
 
 // DropEmittedSessions removes every open session whose (EPC, firstSeq)
@@ -334,7 +359,7 @@ func (z *Sessionizer) sweep(now time.Time, reason CloseReason, due func(*session
 	sort.Strings(epcs)
 	var out []ClosedWindow
 	for _, epc := range epcs {
-		if cw, ok, _ := z.close(epc, z.tags[epc], reason, now); ok {
+		if cw, ok := z.close(epc, z.tags[epc], reason, now); ok {
 			out = append(out, cw)
 		}
 	}

@@ -222,3 +222,21 @@ func TestSessionizerDefaults(t *testing.T) {
 		t.Errorf("unfilled defaults: %+v", cfg)
 	}
 }
+
+// TestSessionizerCountsDistinct: channels and antennas count once each
+// however often they repeat, antenna numbers outside 0–63 included.
+func TestSessionizerCountsDistinct(t *testing.T) {
+	z := NewSessionizer(SessionizerConfig{CoverageClose: 4, MinAntennas: 1})
+	closed := feed(t, z, t0,
+		mkRead("A", -1, 0), mkRead("A", 0, 0), mkRead("A", 63, 49),
+		mkRead("A", 64, 49), mkRead("A", 70, 0), mkRead("A", 70, 1),
+		mkRead("A", 0, 1),
+		mkRead("A", 1<<40, 48), // the fourth channel closes the window
+	)
+	if len(closed) != 1 {
+		t.Fatalf("got %d closed windows, want 1", len(closed))
+	}
+	if cw := closed[0]; cw.Channels != 4 || cw.Antennas != 6 {
+		t.Fatalf("window counts %d channels and %d antennas, want 4 and 6", cw.Channels, cw.Antennas)
+	}
+}
