@@ -47,7 +47,7 @@ func readTargetEPCs(template []sim.Reading, tags int) []string {
 // long-poll and subscribe, and returns the bench row.
 func readLoadPass(name string, template []sim.Reading, tags, perClone, clients int) (benchRecord, error) {
 	var solved atomic.Int64
-	st := serve.NewStore(serve.StoreConfig{SwapInterval: 5 * time.Millisecond})
+	st := serve.NewStore(serve.StoreConfig{})
 	d := ingest.NewDaemon(instantProc{}, ingest.Config{
 		Sessionizer: clusterSessionizer(),
 		QueueSize:   4096,

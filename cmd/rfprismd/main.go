@@ -108,7 +108,6 @@ type options struct {
 	warmStart    bool
 	solveCache   int
 	confidence   bool
-	swapInterval time.Duration
 	readRate     float64
 	readBurst    int
 	maxStreams   int
@@ -144,7 +143,6 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&o.warmStart, "warm-start", false, "seed each tag's solve from its previous estimate (guarded cold fallback)")
 	fs.IntVar(&o.solveCache, "solve-cache", 0, "stationary-tag cache size in tags, 0 disables (serves unchanged tags without solving)")
 	fs.BoolVar(&o.confidence, "confidence", false, "run the likelihood layer: soft antenna down-weighting plus a per-result confidence block (covariance CIs, ambiguity margin) on /v1 payloads")
-	fs.DurationVar(&o.swapInterval, "swap-interval", 25*time.Millisecond, "snapshot-store swap interval: the read side's max staleness")
 	fs.Float64Var(&o.readRate, "read-rate", 0, "per-client request rate limit on the API surface, req/s (0: unlimited)")
 	fs.IntVar(&o.readBurst, "read-burst", 0, "per-client token-bucket burst (0: ceil of -read-rate)")
 	fs.IntVar(&o.maxStreams, "max-streams", 0, "per-client concurrent SSE/long-poll cap (0: unlimited)")
@@ -235,10 +233,7 @@ func run(args []string, stdout io.Writer) error {
 	// The epoch-swapped snapshot store backs every read: Emit is a short
 	// mutex + append, readers load one atomic pointer, and the swapper
 	// decouples the two.
-	store := serve.NewStore(serve.StoreConfig{
-		History:      o.ring,
-		SwapInterval: o.swapInterval,
-	})
+	store := serve.NewStore(serve.StoreConfig{History: o.ring})
 	sinks := []ingest.Sink{store}
 	var outFile *os.File
 	switch o.out {

@@ -108,7 +108,7 @@ type singleTier struct {
 
 func newSingleTier(t *testing.T) *singleTier {
 	t.Helper()
-	store := serve.NewStore(serve.StoreConfig{History: 8, SwapInterval: 5 * time.Millisecond})
+	store := serve.NewStore(serve.StoreConfig{History: 8})
 	d := ingest.NewDaemon(newSystem(t), ingest.Config{
 		Sessionizer: ingest.SessionizerConfig{CoverageClose: 45},
 		QueueSize:   256,
@@ -532,7 +532,7 @@ func checkResultFrame(t *testing.T, frame, epc string) {
 // TestV1ThrottleEnvelope: the serving tier's 429 carries the uniform
 // envelope plus Retry-After, like every other tier's refusal.
 func TestV1ThrottleEnvelope(t *testing.T) {
-	store := serve.NewStore(serve.StoreConfig{History: 4, SwapInterval: 5 * time.Millisecond})
+	store := serve.NewStore(serve.StoreConfig{History: 4})
 	defer store.Close()
 	lim := serve.NewLimiter(serve.LimiterConfig{RatePerSec: 0.001, Burst: 1})
 	d := ingest.NewDaemon(nullProc{}, ingest.Config{
@@ -572,7 +572,7 @@ type aliasTier struct{ name, url string }
 // the test.
 func aliasTiers(t *testing.T) []aliasTier {
 	t.Helper()
-	store := serve.NewStore(serve.StoreConfig{History: 4, SwapInterval: 5 * time.Millisecond})
+	store := serve.NewStore(serve.StoreConfig{History: 4})
 	t.Cleanup(func() { store.Close() })
 	d := ingest.NewDaemon(nullProc{}, ingest.Config{
 		Sessionizer: ingest.SessionizerConfig{CoverageClose: 45}}, store)

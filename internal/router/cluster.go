@@ -32,8 +32,8 @@ type ClusterConfig struct {
 	Dir string
 	// NewProcessor builds one shard's solving backend. Required.
 	NewProcessor func(shardID string) ingest.Processor
-	// NewSinks builds one shard's extra result sinks (the snapshot
-	// store behind GET /v1/tags is always attached). Optional.
+	// NewSinks builds one shard's extra result sinks; the snapshot
+	// store behind GET /v1/tags always follows them. Optional.
 	NewSinks func(shardID string) []ingest.Sink
 	// Daemon is the per-shard daemon config template; Journal and
 	// Metrics are overridden per shard.
@@ -155,16 +155,15 @@ func (c *Cluster) startShard(id string) (*localShard, error) {
 		dcfg.Journal = j
 	}
 	// Each shard serves reads from its own epoch-swapped snapshot
-	// store (fast swaps: local shards back latency-sensitive tests),
-	// so SSE/long-poll work per shard and through the router's merge.
-	s.store = serve.NewStore(serve.StoreConfig{
-		History:      c.cfg.RingDepth,
-		SwapInterval: 5 * time.Millisecond,
-	})
-	sinks := []ingest.Sink{s.store}
+	// store, so SSE/long-poll work per shard and through the router's
+	// merge. The store goes last: it publishes at once, so only then
+	// do the NewSinks hooks see each result before it can be read.
+	s.store = serve.NewStore(serve.StoreConfig{History: c.cfg.RingDepth})
+	var sinks []ingest.Sink
 	if c.cfg.NewSinks != nil {
 		sinks = append(sinks, c.cfg.NewSinks(id)...)
 	}
+	sinks = append(sinks, s.store)
 	s.daemon = ingest.NewDaemon(c.cfg.NewProcessor(id), dcfg, sinks...)
 	if dcfg.Journal != nil {
 		if _, err := s.daemon.Recover(); err != nil {

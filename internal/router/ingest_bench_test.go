@@ -48,7 +48,7 @@ func BenchmarkRouterIngest(b *testing.B) {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	mallocs := ms.Mallocs
+	mallocs, allocBytes := ms.Mallocs, ms.TotalAlloc
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body))
@@ -65,4 +65,5 @@ func BenchmarkRouterIngest(b *testing.B) {
 	perLine := float64(b.N * lines)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perLine, "ns/line")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/perLine, "allocs/line")
+	b.ReportMetric(float64(ms.TotalAlloc-allocBytes)/perLine, "B/line")
 }

@@ -606,6 +606,9 @@ func (rt *Router) sendBatchOnce(ctx context.Context, b *shardBatch, streamID str
 		b.sh.ctl.record(outcomeFail, 0)
 		return res
 	}
+	// Unknown length: net/http then writes the body through its WriteTo,
+	// not an io.LimitReader copy that allocates 32 KiB per sub-request.
+	req.ContentLength = -1
 	req.Header.Set("Content-Type", "application/x-ndjson")
 	req.Header.Set(ingest.HeaderStream, streamID)
 	req.Header.Set(ingest.HeaderStreamPos, encodePositions(b.lines))

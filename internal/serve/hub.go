@@ -168,10 +168,10 @@ func (h *Hub) removeLocked(s *Subscriber) bool {
 	return true
 }
 
-// Publish fans one swap batch out. Delivery is non-blocking: a
-// subscriber whose queue is full is evicted on the spot (channel
-// closed, DropSlowConsumer) rather than ever stalling the swapper.
-func (h *Hub) Publish(epoch uint64, batch []ingest.TagResult) {
+// Publish fans one swap batch out, batch[i] at epoch first+i. Delivery
+// is non-blocking: a full subscriber queue is evicted on the spot
+// (channel closed, DropSlowConsumer) rather than stalling the swapper.
+func (h *Hub) Publish(first uint64, batch []ingest.TagResult) {
 	if len(batch) == 0 {
 		return
 	}
@@ -181,8 +181,8 @@ func (h *Hub) Publish(epoch uint64, batch []ingest.TagResult) {
 		return
 	}
 	var evicted []*Subscriber
-	for _, r := range batch {
-		ev := Event{Epoch: epoch, Result: r}
+	for i, r := range batch {
+		ev := Event{Epoch: first + uint64(i), Result: r}
 		for s := range h.byEPC[r.EPC] {
 			if !h.offerLocked(s, ev) {
 				evicted = append(evicted, s)

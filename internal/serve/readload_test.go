@@ -43,7 +43,7 @@ func wrappedSurface(t *testing.T, st *Store, lim *Limiter) http.Handler {
 // errors and zero slow-consumer evictions — the scaled-down version of
 // the 100k acceptance run in cmd/rfprism-bench.
 func TestRunReadLoadSmoke(t *testing.T) {
-	st := newTestStore(t, StoreConfig{SwapInterval: 2 * time.Millisecond})
+	st := newTestStore(t, StoreConfig{})
 	h := wrappedSurface(t, st, nil)
 
 	epcs := make([]string, 4)
@@ -118,7 +118,7 @@ func TestRunReadLoadValidation(t *testing.T) {
 // Throttled, not Errors — the loadgen distinguishes refusals from
 // failures.
 func TestReadLoadThrottleCounted(t *testing.T) {
-	st := newTestStore(t, StoreConfig{SwapInterval: 2 * time.Millisecond})
+	st := newTestStore(t, StoreConfig{})
 	lim := NewLimiter(LimiterConfig{RatePerSec: 0.5, Burst: 1})
 	h := wrappedSurface(t, st, lim)
 	emitVisible(t, st, tr("A", 1))
@@ -143,7 +143,7 @@ func TestReadLoadThrottleCounted(t *testing.T) {
 // TestLongPollHTTP pins the GET /v1/tags/{epc}?wait=&since= wire
 // contract through the real ingest handler backed by the store.
 func TestLongPollHTTP(t *testing.T) {
-	st := newTestStore(t, StoreConfig{SwapInterval: 2 * time.Millisecond})
+	st := newTestStore(t, StoreConfig{})
 	h := wrappedSurface(t, st, nil)
 	since := emitVisible(t, st, tr("A", 1))
 
@@ -207,7 +207,7 @@ func TestLongPollHTTP(t *testing.T) {
 // miniature: Emit stays fast while a full read fleet hammers the
 // surface, because readers touch only the atomic snapshot pointer.
 func TestEmitNotStalledByReaders(t *testing.T) {
-	st := newTestStore(t, StoreConfig{SwapInterval: 2 * time.Millisecond})
+	st := newTestStore(t, StoreConfig{})
 	h := wrappedSurface(t, st, nil)
 	emitVisible(t, st, tr("A", 1))
 

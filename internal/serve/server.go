@@ -32,14 +32,14 @@ import (
 // the cut the body shows: a client that resumes since=<epoch> from a
 // read misses nothing and sees nothing twice.
 //
-// SSE wire contract: events carry `id: <epoch>` so clients reconnect
-// with Last-Event-ID (or ?since=<epoch>) and are replayed everything
-// newer from the snapshot's retained window. Every result of one swap
-// batch shares the batch's epoch and gets its own frame. A client
-// further behind than the window gets one `event: resync` (it must
-// re-GET the full state) before live results resume. A consumer that
-// cannot keep up is evicted: the stream ends with `event: dropped` and
-// a typed reason.
+// SSE wire contract: every result gets its own frame with its own
+// epoch as `id:`, so clients reconnect with Last-Event-ID (or
+// ?since=<epoch>) and are replayed exactly the results after it from
+// the snapshot's retained window, even from inside a swap batch. A
+// client further behind than the window gets one `event: resync` (it
+// must re-GET the full state) before live results resume. A consumer
+// that cannot keep up is evicted: the stream ends with `event:
+// dropped` and a typed reason.
 type Server struct {
 	store     *Store
 	lim       *Limiter
@@ -216,9 +216,9 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 			sw.event(snap.Epoch(), "resync", fmt.Appendf(nil, `{"epoch":%d}`, snap.Epoch()))
 		}
 		for _, b := range batches {
-			for _, res := range b.Results {
+			for i, res := range b.Results {
 				if f.matches(res.EPC) {
-					sw.result(b.Epoch, res)
+					sw.result(b.First+uint64(i), res)
 				}
 			}
 		}
@@ -229,18 +229,16 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 			sw.result(epoch, res)
 		}
 	}
-	// Live events are filtered against the subscribe-time epoch, not
-	// the last delivered one: every result of a swap batch carries the
-	// batch's epoch, and each needs its own frame. last is only the id
+	// Live events at or below the snapshot's epoch were served by the
+	// catch-up above (or predate the subscription). last is also the id
 	// of a closing dropped frame.
-	start := snap.Epoch()
-	last := start
+	last := snap.Epoch()
 	flusher.Flush()
 	if sw.err != nil {
 		return
 	}
 	s.log.Debug("stream open", "path", r.URL.Path, "epc", f.EPC, "prefix", f.Prefix,
-		"since", since, "epoch", start)
+		"since", since, "epoch", last)
 
 	hb := time.NewTicker(s.heartbeat)
 	defer hb.Stop()
@@ -251,7 +249,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, f Filter) {
 			// Drain whatever else is queued before flushing once —
 			// under a burst this coalesces dozens of events per write.
 			for more := true; ok && more; {
-				if ev.Epoch > start && f.matches(ev.Result.EPC) {
+				if ev.Epoch > last && f.matches(ev.Result.EPC) {
 					sw.result(ev.Epoch, ev.Result)
 					last = ev.Epoch
 				}

@@ -222,7 +222,7 @@ func TestSSEFirehoseAndPrefix(t *testing.T) {
 }
 
 func TestSSEShutdownSendsDropped(t *testing.T) {
-	st := NewStore(StoreConfig{SwapInterval: time.Millisecond})
+	st := NewStore(StoreConfig{})
 	ts := sseTestServer(t, st, nil)
 	_, events := openSSE(t, ts.URL+"/v1/stream", nil)
 	waitFor(t, 2*time.Second, "subscriber registration", func() bool {
@@ -448,7 +448,7 @@ func TestServerTagsPagination(t *testing.T) {
 // would let a client resuming since=<epoch> skip the results between.
 func TestServerEpochHeaderMatchesBody(t *testing.T) {
 	const writes = 3000
-	st := newTestStore(t, StoreConfig{BatchSize: 1, RecentEpochs: writes})
+	st := newTestStore(t, StoreConfig{RecentEpochs: writes})
 	h := NewServer(st, nil, nil).Wrap(http.NotFoundHandler())
 
 	done := make(chan struct{})
@@ -492,13 +492,18 @@ func TestServerEpochHeaderMatchesBody(t *testing.T) {
 	if !ok {
 		t.Fatal("retained window lost early batches")
 	}
-	for _, r := range reads {
-		i := sort.Search(len(batches), func(i int) bool { return batches[i].Epoch > r.epoch })
-		if i == 0 {
-			t.Fatalf("epoch %d precedes every batch", r.epoch)
+	var published []Event // every A result with its own epoch, ascending
+	for _, b := range batches {
+		for i, res := range b.Results {
+			published = append(published, Event{Epoch: b.First + uint64(i), Result: res})
 		}
-		b := batches[i-1].Results
-		if want := b[len(b)-1].Seq; r.seq != want {
+	}
+	for _, r := range reads {
+		i := sort.Search(len(published), func(i int) bool { return published[i].Epoch > r.epoch })
+		if i == 0 {
+			t.Fatalf("epoch %d precedes every result", r.epoch)
+		}
+		if want := published[i-1].Result.Seq; r.seq != want {
 			t.Fatalf("read advertised epoch %d (latest A seq %d) but served seq %d", r.epoch, want, r.seq)
 		}
 	}
@@ -506,9 +511,9 @@ func TestServerEpochHeaderMatchesBody(t *testing.T) {
 }
 
 // TestSSESwapBatchFramesEveryResult: every result of one swap batch
-// shares the batch's epoch, and each still gets its own frame.
+// gets its own frame, carrying its own epoch.
 func TestSSESwapBatchFramesEveryResult(t *testing.T) {
-	st := NewStore(StoreConfig{SwapInterval: time.Hour, BatchSize: 1 << 20})
+	st := newStore(StoreConfig{}) // no swap loop: the test swaps
 	t.Cleanup(func() { _ = st.Close() })
 	ts := sseTestServer(t, st, nil)
 	_, events := openSSE(t, ts.URL+"/v1/stream", nil)
@@ -527,8 +532,54 @@ func TestSSESwapBatchFramesEveryResult(t *testing.T) {
 		if err := json.Unmarshal([]byte(ev.Data), &res); err != nil {
 			t.Fatalf("frame data %q: %v", ev.Data, err)
 		}
-		if ev.Event != "result" || ev.ID != "1" || res.Seq != seq {
-			t.Fatalf("frame %d = %+v, want result seq %d with id 1", seq, ev, seq)
+		if ev.Event != "result" || ev.ID != strconv.Itoa(seq) || res.Seq != seq {
+			t.Fatalf("frame %d = %+v, want result seq %d with id %d", seq, ev, seq, seq)
+		}
+	}
+}
+
+// TestSSEResumeInsideSwapBatch: a client that resumes with the id of
+// any frame of a multi-result swap batch is replayed exactly the rest
+// of that batch, then continues live.
+func TestSSEResumeInsideSwapBatch(t *testing.T) {
+	st := newStore(StoreConfig{}) // no swap loop: the test swaps
+	t.Cleanup(func() { _ = st.Close() })
+	ts := sseTestServer(t, st, nil)
+	_, live := openSSE(t, ts.URL+"/v1/stream", nil)
+	waitFor(t, 2*time.Second, "subscriber registration", func() bool {
+		return st.Hub().Subscribers() == 1
+	})
+	for _, r := range []ingest.TagResult{tr("A", 1), tr("B", 1), tr("A", 2)} {
+		if err := st.Emit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.swap()
+	frames := make([]sseEvent, 3)
+	for i := range frames {
+		frames[i] = nextEvent(t, live, "live frame of the batch")
+	}
+
+	resumed := make([]<-chan sseEvent, len(frames))
+	for i, f := range frames {
+		_, resumed[i] = openSSE(t, ts.URL+"/v1/stream", map[string]string{"Last-Event-ID": f.ID})
+	}
+	// Each resume replays the frames after its own, then the next live
+	// result: a sentinel published once every resume has subscribed.
+	waitFor(t, 2*time.Second, "resume registrations", func() bool {
+		return st.Hub().Subscribers() == int64(1+len(frames))
+	})
+	if err := st.Emit(tr("C", 1)); err != nil {
+		t.Fatal(err)
+	}
+	st.swap()
+	sentinel := nextEvent(t, live, "live sentinel frame")
+	for i, events := range resumed {
+		want := append(append([]sseEvent(nil), frames[i+1:]...), sentinel)
+		for _, w := range want {
+			if got := nextEvent(t, events, "resumed frame"); got != w {
+				t.Fatalf("resume from id %s: got %+v, want %+v", frames[i].ID, got, w)
+			}
 		}
 	}
 }

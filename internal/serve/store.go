@@ -5,17 +5,17 @@
 // The centerpiece is Store, an epoch-swapped copy-on-write snapshot
 // store. The solver's result loop publishes TagResults into a pending
 // generation (a mutex-guarded append — the only synchronization the
-// write path ever takes), and a background swapper periodically builds
-// an immutable Snapshot and installs it with a single atomic pointer
-// store. Readers load the pointer and walk plain immutable maps and
-// slices: the read path takes zero locks, so a hundred thousand
-// concurrent pollers cannot contend with Emit on the solver path.
+// write path ever takes) and wakes a background swapper, which folds
+// everything pending into an immutable Snapshot and installs it with a
+// single atomic pointer store. Readers load the pointer and walk plain
+// immutable maps and slices: the read path takes zero locks, so a
+// hundred thousand concurrent pollers cannot contend with Emit.
 //
-// Every swap advances a monotonic epoch. Epochs are the subscription
-// currency: long-poll (?wait&since=) and SSE (Last-Event-ID) clients
-// resume from the epoch they last saw, served either from the
-// snapshot's bounded recent-batch window or via the Hub, which fans
-// each swap's batch out to live subscribers (see hub.go).
+// Every published result gets its own monotonic epoch. Epochs are the
+// subscription currency: long-poll (?wait&since=) and SSE
+// (Last-Event-ID) clients resume from the epoch they last saw, served
+// either from the snapshot's bounded recent-batch window or via the
+// Hub, which fans each swap's batch out to live subscribers (hub.go).
 package serve
 
 import (
@@ -34,14 +34,6 @@ type StoreConfig struct {
 	// History is the number of results kept per tag and served by
 	// GET /v1/tags/{epc} (default 16, minimum 1).
 	History int
-	// SwapInterval bounds how stale the visible snapshot may be: the
-	// swapper publishes pending results at least this often (default
-	// 25 ms).
-	SwapInterval time.Duration
-	// BatchSize triggers an early swap when the pending generation
-	// grows past it, so a result burst becomes visible without waiting
-	// out the interval (default 256).
-	BatchSize int
 	// RecentEpochs is how many swap batches the snapshot retains for
 	// since=<epoch> catch-up reads (default 64). A client further
 	// behind than the window is told to resync from the full snapshot.
@@ -58,12 +50,6 @@ func (c *StoreConfig) defaults() {
 	if c.History < 1 {
 		c.History = 16
 	}
-	if c.SwapInterval <= 0 {
-		c.SwapInterval = 25 * time.Millisecond
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 256
-	}
 	if c.RecentEpochs <= 0 {
 		c.RecentEpochs = 64
 	}
@@ -79,12 +65,13 @@ func (c *StoreConfig) defaults() {
 // Once published it is never mutated: updates build a replacement.
 type tagState struct {
 	hist  []ingest.TagResult // oldest first; immutable
-	epoch uint64             // epoch of the last update
+	epoch uint64             // epoch of the newest result in hist
 }
 
 // EpochBatch is the set of results that became visible in one swap.
+// Each result has its own epoch: Results[i] is First+i.
 type EpochBatch struct {
-	Epoch   uint64
+	First   uint64
 	Results []ingest.TagResult // immutable; do not mutate
 }
 
@@ -100,7 +87,8 @@ type Snapshot struct {
 	recent []EpochBatch // ascending epoch; bounded by RecentEpochs
 }
 
-// Epoch returns the snapshot's generation number (0 = empty store).
+// Epoch returns the epoch of the newest result the snapshot holds
+// (0 = empty store).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // At returns the wall time the snapshot was published.
@@ -109,8 +97,7 @@ func (s *Snapshot) At() time.Time { return s.at }
 // Len returns the number of known tags.
 func (s *Snapshot) Len() int { return len(s.tags) }
 
-// Latest returns a tag's most recent result and the epoch it became
-// visible in.
+// Latest returns a tag's most recent result and its epoch.
 func (s *Snapshot) Latest(epc string) (ingest.TagResult, uint64, bool) {
 	ts := s.tags[epc]
 	if ts == nil || len(ts.hist) == 0 {
@@ -129,7 +116,7 @@ func (s *Snapshot) History(epc string) []ingest.TagResult {
 	return ts.hist
 }
 
-// TagEpoch returns the epoch of a tag's last update (0 when unknown).
+// TagEpoch returns the epoch of a tag's newest result (0 when unknown).
 func (s *Snapshot) TagEpoch(epc string) uint64 {
 	if ts := s.tags[epc]; ts != nil {
 		return ts.epoch
@@ -141,21 +128,27 @@ func (s *Snapshot) TagEpoch(epc string) uint64 {
 // snapshot — callers must not mutate it.
 func (s *Snapshot) EPCs() []string { return s.epcs }
 
-// Since returns the batches published after the given epoch, oldest
-// first. ok is false when since is older than the retained window —
-// the caller must resync from the full snapshot instead.
+// Since returns exactly the results with an epoch past since, as
+// batches oldest first; a batch since falls inside is trimmed to its
+// newer results. ok is false when since is older than the retained
+// window — the caller must resync from the full snapshot instead.
 func (s *Snapshot) Since(since uint64) ([]EpochBatch, bool) {
 	if since >= s.epoch {
 		return nil, true
 	}
-	if len(s.recent) == 0 || s.recent[0].Epoch > since+1 {
+	i := len(s.recent) - 1 // the batch holding epoch since+1
+	for i >= 0 && s.recent[i].First > since+1 {
+		i--
+	}
+	if i < 0 {
 		return nil, false
 	}
-	i := 0
-	for i < len(s.recent) && s.recent[i].Epoch <= since {
-		i++
+	out := s.recent[i:]
+	if skip := since + 1 - out[0].First; skip > 0 {
+		// Trim a copy: the window is shared with later snapshots.
+		out = append([]EpochBatch{{First: since + 1, Results: out[0].Results[skip:]}}, out[1:]...)
 	}
-	return s.recent[i:], true
+	return out, true
 }
 
 // Store is the epoch-swapped snapshot store. It implements ingest.Sink
@@ -173,7 +166,7 @@ type Store struct {
 
 	wake chan struct{}
 	stop chan struct{}
-	done chan struct{}
+	loop sync.WaitGroup // the swap loop, when started
 
 	closeOnce sync.Once
 	swaps     atomic.Int64
@@ -183,16 +176,23 @@ type Store struct {
 
 // NewStore builds a store and starts its swap loop.
 func NewStore(cfg StoreConfig) *Store {
+	st := newStore(cfg)
+	st.loop.Add(1)
+	go st.swapLoop()
+	return st
+}
+
+// newStore builds a store without its swap loop, so results stay
+// pending until swap or Close publishes them (tests).
+func newStore(cfg StoreConfig) *Store {
 	cfg.defaults()
 	st := &Store{
 		cfg:  cfg,
 		hub:  NewHub(),
 		wake: make(chan struct{}, 1),
 		stop: make(chan struct{}),
-		done: make(chan struct{}),
 	}
 	st.cur.Store(&Snapshot{at: cfg.Now(), tags: map[string]*tagState{}})
-	go st.swapLoop()
 	return st
 }
 
@@ -216,20 +216,17 @@ func (st *Store) LongPolls() (changed, timeout int64) {
 }
 
 // Emit implements ingest.Sink: the result joins the pending generation
-// and becomes visible at the next swap (at most SwapInterval away, or
-// sooner once BatchSize results are pending). The solver-path cost is
-// one short mutex hold and an append — snapshot construction always
-// happens on the swapper goroutine.
+// and wakes the swapper, so it becomes visible with the next swap. The
+// solver-path cost is one short mutex hold, an append and a
+// non-blocking send — snapshot construction always happens on the
+// swapper goroutine.
 func (st *Store) Emit(r ingest.TagResult) error {
 	st.mu.Lock()
 	st.pending = append(st.pending, r)
-	n := len(st.pending)
 	st.mu.Unlock()
-	if n >= st.cfg.BatchSize {
-		select {
-		case st.wake <- struct{}{}:
-		default:
-		}
+	select {
+	case st.wake <- struct{}{}:
+	default: // a wake is already queued; that swap takes this result too
 	}
 	return nil
 }
@@ -240,21 +237,21 @@ func (st *Store) Emit(r ingest.TagResult) error {
 func (st *Store) Close() error {
 	st.closeOnce.Do(func() {
 		close(st.stop)
-		<-st.done
+		st.loop.Wait()
 		st.swap() // final flush so a drain's tail is visible
 		st.hub.Close()
 	})
 	return nil
 }
 
+// swapLoop publishes on every wake. Results emitted while a swap runs
+// queue one wake and are taken together by the next swap, so an idle
+// store publishes a result within one swap's time and a busy one
+// batches by itself.
 func (st *Store) swapLoop() {
-	defer close(st.done)
-	t := time.NewTicker(st.cfg.SwapInterval)
-	defer t.Stop()
+	defer st.loop.Done()
 	for {
 		select {
-		case <-t.C:
-			st.swap()
 		case <-st.wake:
 			st.swap()
 		case <-st.stop:
@@ -265,9 +262,9 @@ func (st *Store) swapLoop() {
 
 // swap takes the pending generation and publishes it as a new
 // snapshot: a shallow copy of the tag map with copy-on-write per-tag
-// history, a new epoch, and the batch appended to the recent window.
-// The installed snapshot and everything reachable from it are
-// immutable from here on.
+// history, one new epoch per result, and the batch appended to the
+// recent window. The installed snapshot and everything reachable from
+// it are immutable from here on.
 func (st *Store) swap() {
 	st.mu.Lock()
 	batch := st.pending
@@ -277,14 +274,14 @@ func (st *Store) swap() {
 		return
 	}
 	old := st.cur.Load()
-	epoch := old.epoch + 1
+	first := old.epoch + 1
 
 	tags := make(map[string]*tagState, len(old.tags)+len(batch))
 	for epc, ts := range old.tags {
 		tags[epc] = ts
 	}
 	newEPC := false
-	for _, r := range batch {
+	for i, r := range batch {
 		prev := tags[r.EPC]
 		var hist []ingest.TagResult
 		if prev != nil {
@@ -300,7 +297,7 @@ func (st *Store) swap() {
 		}
 		next = append(next, hist...)
 		next = append(next, r)
-		tags[r.EPC] = &tagState{hist: next, epoch: epoch}
+		tags[r.EPC] = &tagState{hist: next, epoch: first + uint64(i)}
 	}
 
 	epcs := old.epcs
@@ -310,13 +307,13 @@ func (st *Store) swap() {
 
 	recent := make([]EpochBatch, 0, len(old.recent)+1)
 	recent = append(recent, old.recent...)
-	recent = append(recent, EpochBatch{Epoch: epoch, Results: batch})
+	recent = append(recent, EpochBatch{First: first, Results: batch})
 	if len(recent) > st.cfg.RecentEpochs {
 		recent = recent[len(recent)-st.cfg.RecentEpochs:]
 	}
 
 	st.cur.Store(&Snapshot{
-		epoch:  epoch,
+		epoch:  first + uint64(len(batch)) - 1,
 		at:     st.cfg.Now(),
 		tags:   tags,
 		epcs:   epcs,
@@ -327,7 +324,7 @@ func (st *Store) swap() {
 	// Publish after the swap so a subscriber that checks the snapshot
 	// before waiting can never miss an epoch: anything it does not see
 	// in the snapshot will still arrive on its channel.
-	st.hub.Publish(epoch, batch)
+	st.hub.Publish(first, batch)
 }
 
 // Epoch returns the current snapshot's epoch.

@@ -32,13 +32,9 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// newTestStore builds a store with a fast swapper and closes it with
-// the test.
+// newTestStore builds a store and closes it with the test.
 func newTestStore(t *testing.T, cfg StoreConfig) *Store {
 	t.Helper()
-	if cfg.SwapInterval == 0 {
-		cfg.SwapInterval = time.Millisecond
-	}
 	st := NewStore(cfg)
 	t.Cleanup(func() { _ = st.Close() })
 	return st
@@ -144,7 +140,7 @@ func TestSnapshotSinceWindow(t *testing.T) {
 		t.Fatalf("Since(head) = %v, %v; want empty, true", batches, ok)
 	}
 	batches, ok := snap.Since(head - 1)
-	if !ok || len(batches) != 1 || batches[0].Epoch != head {
+	if !ok || len(batches) != 1 || batches[0].First != head {
 		t.Fatalf("Since(head-1) = %v, %v; want the head batch", batches, ok)
 	}
 	if batches, ok := snap.Since(head - 2); !ok || len(batches) != 2 {
@@ -155,6 +151,48 @@ func TestSnapshotSinceWindow(t *testing.T) {
 	}
 	if _, ok := snap.Since(0); ok {
 		t.Fatal("Since(0) behind the window must demand a resync")
+	}
+}
+
+// TestSwapPerResultEpochs: every result of one swap gets its own epoch,
+// the snapshot's epoch is its newest result's, each tag keeps its own
+// result's epoch, and Since(k) answers exactly the results past k —
+// also from inside a batch.
+func TestSwapPerResultEpochs(t *testing.T) {
+	st := newStore(StoreConfig{})
+	defer st.Close()
+	batch := []ingest.TagResult{tr("A", 1), tr("B", 1), tr("A", 2)}
+	for _, r := range batch {
+		if err := st.Emit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.swap()
+	snap := st.Snapshot()
+	if snap.Epoch() != 3 || st.Swaps() != 1 {
+		t.Fatalf("epoch %d after %d swaps, want 3 after 1", snap.Epoch(), st.Swaps())
+	}
+	if a, b := snap.TagEpoch("A"), snap.TagEpoch("B"); a != 3 || b != 2 {
+		t.Fatalf("tag epochs A=%d B=%d, want 3 and 2", a, b)
+	}
+	for k := uint64(0); k <= 3; k++ {
+		batches, ok := snap.Since(k)
+		if !ok {
+			t.Fatalf("Since(%d) demands a resync inside the window", k)
+		}
+		var got []string
+		for _, b := range batches {
+			for i, r := range b.Results {
+				got = append(got, fmt.Sprintf("%d:%s/%d", b.First+uint64(i), r.EPC, r.Seq))
+			}
+		}
+		var want []string
+		for i := k; i < 3; i++ {
+			want = append(want, fmt.Sprintf("%d:%s/%d", i+1, batch[i].EPC, batch[i].Seq))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Since(%d) = %v, want %v", k, got, want)
+		}
 	}
 }
 
@@ -228,14 +266,14 @@ func TestWaitTagCancel(t *testing.T) {
 }
 
 // TestStoreCloseFlushesPending: a drain's tail must become visible even
-// when the swap interval never fires again.
+// when no swap runs before Close.
 func TestStoreCloseFlushesPending(t *testing.T) {
-	st := NewStore(StoreConfig{SwapInterval: time.Hour, BatchSize: 1 << 20})
+	st := newStore(StoreConfig{}) // no swap loop: the result stays pending
 	if err := st.Emit(tr("A", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := st.Snapshot().Latest("A"); ok {
-		t.Fatal("result visible before any swap with an hour-long interval")
+		t.Fatal("result visible before any swap")
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -252,20 +290,19 @@ func TestStoreCloseFlushesPending(t *testing.T) {
 	}
 }
 
-// TestStoreBatchSizeTriggersEarlySwap: a burst past BatchSize becomes
-// visible without waiting out a long interval.
-func TestStoreBatchSizeTriggersEarlySwap(t *testing.T) {
-	st := NewStore(StoreConfig{SwapInterval: time.Hour, BatchSize: 4})
+// TestStoreEmitVisibleAtOnce: an idle store publishes each result as
+// soon as it is emitted, with no swap interval to wait out — 50
+// sequential emit-then-wait rounds take far less than 50 timer ticks.
+func TestStoreEmitVisibleAtOnce(t *testing.T) {
+	st := NewStore(StoreConfig{})
 	t.Cleanup(func() { _ = st.Close() })
-	for i := 1; i <= 4; i++ {
-		if err := st.Emit(tr("A", i)); err != nil {
-			t.Fatal(err)
-		}
+	start := time.Now()
+	for i := 1; i <= 50; i++ {
+		emitVisible(t, st, tr("A", i))
 	}
-	waitFor(t, 2*time.Second, "batch-size wake to swap", func() bool {
-		_, _, ok := st.Snapshot().Latest("A")
-		return ok
-	})
+	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+		t.Fatalf("50 emit-to-visible rounds took %v, want < 250ms", elapsed)
+	}
 }
 
 // TestStoreReadPathNoMutexContention is the zero-lock hot-path
@@ -278,7 +315,7 @@ func TestStoreReadPathNoMutexContention(t *testing.T) {
 	old := runtime.SetMutexProfileFraction(1)
 	defer runtime.SetMutexProfileFraction(old)
 
-	st := newTestStore(t, StoreConfig{SwapInterval: time.Millisecond, RecentEpochs: 4})
+	st := newTestStore(t, StoreConfig{RecentEpochs: 4})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
