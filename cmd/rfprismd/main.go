@@ -105,7 +105,6 @@ type options struct {
 	logLevel     string
 	debugAddr    string
 	traceFile    string
-	warmStart    bool
 	solveCache   int
 	confidence   bool
 	readRate     float64
@@ -140,7 +139,6 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug|info|warn|error")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug server address: pprof + Go runtime metrics (empty: off)")
 	fs.StringVar(&o.traceFile, "trace", "", "export per-window pipeline stage spans as NDJSON to this file")
-	fs.BoolVar(&o.warmStart, "warm-start", false, "seed each tag's solve from its previous estimate (guarded cold fallback)")
 	fs.IntVar(&o.solveCache, "solve-cache", 0, "stationary-tag cache size in tags, 0 disables (serves unchanged tags without solving)")
 	fs.BoolVar(&o.confidence, "confidence", false, "run the likelihood layer: soft antenna down-weighting plus a per-result confidence block (covariance CIs, ambiguity margin) on /v1 payloads")
 	fs.Float64Var(&o.readRate, "read-rate", 0, "per-client request rate limit on the API surface, req/s (0: unlimited)")
@@ -439,9 +437,6 @@ func buildDeployment(o options) (*sim.Scene, *rfprism.System, error) {
 		return nil, nil, err
 	}
 	sysOpts := []rfprism.Option{rfprism.WithParallelism(o.parallelism)}
-	if o.warmStart {
-		sysOpts = append(sysOpts, rfprism.WithWarmStart())
-	}
 	if o.solveCache > 0 {
 		sysOpts = append(sysOpts, rfprism.WithSolveCache(o.solveCache))
 	}

@@ -330,13 +330,13 @@ func ambiguityMargin(sc *solveScratch, est Estimate, mode3D bool, bounds Bounds,
 				if raw := sc.jointCost3D(p0); raw < bestRaw {
 					bestRaw = raw
 				}
-				cand = runJoint3D(sc, p0, bounds, jointIters3D, 0)
+				cand = runJoint3D(sc, p0, bounds, jointIters3D)
 			} else {
 				p0 := []float64{pos.X, pos.Y, est.Alpha, est.Kt, est.Bt0}
 				if raw := sc.jointCost2D(p0); raw < bestRaw {
 					bestRaw = raw
 				}
-				cand = runJoint2D(sc, p0, bounds, jointIters2D, 0)
+				cand = runJoint2D(sc, p0, bounds, jointIters2D)
 			}
 			if cand.Pos.Dist(est.Pos) >= ambiguityEscape {
 				altBasins++

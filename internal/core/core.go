@@ -139,41 +139,6 @@ type Options struct {
 	// reduction is deterministic: min cost, ties to the lowest start
 	// index).
 	Parallelism int
-	// WarmStart, when non-nil, seeds the joint stage from a previous
-	// window's estimate of the same tag: the coarse grid is skipped
-	// and the multistart collapses to a small basin-local set around
-	// the warm position. Guarded both ways — an inconsistent slope
-	// surface (the tag moved) or a warm solution whose joint cost
-	// regresses past WarmGuardFactor falls back to the full cold
-	// path, so a stale seed costs time, never accuracy. Ignored by
-	// the DisableFinePhase ablation (there is no joint stage to
-	// seed).
-	WarmStart *Estimate
-	// WarmGuardFactor bounds the warm solution's joint cost relative
-	// to max(previous cost, WarmCostFloor); above it the solver falls
-	// back cold. Default 4.
-	WarmGuardFactor float64
-	// WarmRadius is how far the freshly refined slope-only fix may
-	// wander from the warm position before the slope-cost consistency
-	// check must also pass, and how far the warm solution may land
-	// from it. Default 0.12 m (within one wrap basin).
-	WarmRadius float64
-	// PruneStarts enables adaptive multistart pruning: seeds are
-	// ranked by their start-point joint cost and the bottom tranche
-	// runs with a short iteration cap. Changes which candidate wins
-	// in rare cases, so it is opt-in; serial/parallel determinism is
-	// preserved (budgets are fixed before the fan-out).
-	PruneStarts bool
-	// PruneKeep is the fraction of starts keeping the full iteration
-	// budget under PruneStarts. Default 0.25.
-	PruneKeep float64
-	// PruneIters is the short iteration cap for pruned starts.
-	// Default pruneIters (0.3 of the 2D Levenberg–Marquardt cap).
-	PruneIters int
-	// Stats, when non-nil, receives the fast-path counters (warm
-	// attempts/fallbacks, pruned starts). Safe to share across
-	// concurrent solves.
-	Stats *SolveStats
 }
 
 func (o *Options) defaults() {
@@ -190,36 +155,16 @@ func (o *Options) defaults() {
 	if o.NoKtPrior {
 		o.KtPriorSigma = 0
 	}
-	if o.WarmGuardFactor <= 0 {
-		o.WarmGuardFactor = 4
-	}
-	if o.WarmRadius <= 0 {
-		o.WarmRadius = 0.12
-	}
-	if o.PruneKeep <= 0 || o.PruneKeep > 1 {
-		o.PruneKeep = 0.25
-	}
-	if o.PruneIters <= 0 {
-		o.PruneIters = pruneIters
-	}
 }
 
 // Iteration budgets of the joint multistart stages (Levenberg–Marquardt
 // iterations per start) and the final fine simplex pass, and the
 // relative cost improvement below which a start has converged.
-//
-// pruneIters is the default PruneStarts cap: 0.3 of the 2D cap, the
-// share the pruned tranche kept of the old 200-iteration simplex
-// budget. About half the starts of the 54-start 2D multistart take
-// more than 9 iterations (9.6 on average), so the cap stops many pruned
-// starts short of convergence; a cap at or above the full budget would
-// stop none.
 const (
 	jointIters2D = 30
 	jointIters3D = 60
 	fineIters2D  = 500
 	jointTolRSS  = 1e-9
-	pruneIters   = jointIters2D * 3 / 10
 )
 
 // AntennaCal holds the per-antenna hardware corrections of §IV-C,
@@ -401,17 +346,6 @@ func Solve2D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 	// joint stage jump to far wrong wrap basins.
 	sc := newSolveScratch(obs, &opts)
 
-	// Warm fast path: a consistent previous-window seed replaces the
-	// coarse grid and the full multistart; guard failures fall
-	// through to the cold path below.
-	if opts.WarmStart != nil && !opts.DisableFinePhase {
-		opts.countWarmAttempt()
-		if est, ok := solve2DWarm(sc, bounds, opts); ok {
-			return est, nil
-		}
-		opts.countWarmFallback()
-	}
-
 	// Stage 1: wrap-free coarse position from the slopes alone.
 	posA := gridSearch2D(sc, bounds, opts.GridStep, opts.Parallelism)
 	posA = refinePos2D(sc, posA, bounds, opts.GridStep)
@@ -443,20 +377,15 @@ func Solve2D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 			}
 		}
 	}
-	budgets := pruneBudgets(starts, sc.jointCost2D, opts)
 	cands := make([]Estimate, len(starts))
 	parallelFor(len(starts), workerCount(opts.Parallelism, len(starts)), func(i int) {
-		cands[i] = runJoint2D(sc, starts[i], bounds, budgetFor(budgets, i, jointIters2D), 0)
+		cands[i] = runJoint2D(sc, starts[i], bounds, jointIters2D)
 	})
-	return finish2D(sc, reduceMinCost(cands), bounds, opts), nil
-}
 
-// finish2D is the shared tail of the cold and warm 2D paths: dense
-// orientation refinement, the final fine simplex (the multistart
-// runs are iteration-capped and stop at a relative cost tolerance),
-// and the optional ML polish.
-func finish2D(sc *solveScratch, best Estimate, bounds Bounds, opts Options) Estimate {
-	best = refineAlpha2D(sc, best)
+	// Dense orientation refinement, the final fine simplex (the
+	// multistart runs are iteration-capped and stop at a relative cost
+	// tolerance), and the optional ML polish.
+	best := refineAlpha2D(sc, reduceMinCost(cands))
 	if fine := runJoint2DFine(sc, best, bounds); fine.Cost < best.Cost {
 		best = fine
 	}
@@ -465,7 +394,7 @@ func finish2D(sc *solveScratch, best Estimate, bounds Bounds, opts Options) Esti
 		best = polish2D(sc.obs, best, bounds)
 		best = refineAlpha2D(sc, best)
 	}
-	return best
+	return best, nil
 }
 
 // runJoint2DFine is a tighter, longer simplex pass around an
@@ -535,10 +464,10 @@ func refineAngle(f func(float64) float64, center, halfWidth float64) float64 {
 	return (a + b) / 2
 }
 
-// basinOffsets are the per-axis start offsets of the cold and warm 2D
-// multistarts: the centre λ/2 wrap basin and one 8 cm (≈λ/4) step
-// either side. LM starts follow the smooth slope residuals across
-// basins, so they reach the tag's even when the slope fix is 20+ cm off.
+// basinOffsets are the per-axis start offsets of the 2D multistart:
+// the centre λ/2 wrap basin and one 8 cm (≈λ/4) step either side. LM
+// starts follow the smooth slope residuals across basins, so they reach
+// the tag's even when the slope fix is 20+ cm off.
 var basinOffsets = []float64{-0.08, 0, 0.08}
 
 // orientStarts2D cold orientation starts per offset span [0, π).
@@ -555,15 +484,12 @@ func makePsi(obs []Observation, pos geom.Vec3) []float64 {
 
 // runJoint2D runs one Levenberg–Marquardt refinement of the joint
 // objective from p0, capped at maxIter iterations, and packages the
-// result. target > 0 additionally stops a start once it matches that
-// cost (the warm path passes the previous window's cost — no point
-// iterating past it when the fine pass will polish anyway). The start
-// and every step are kept inside the bounds (LMProblem.Lower/Upper), so
-// a start whose step overshoots a bound stops on it with a live
-// Jacobian column and can walk back inside. The cost is re-evaluated
+// result. The start and every step are kept inside the bounds
+// (LMProblem.Lower/Upper), so a start whose step overshoots a bound
+// stops on it with a live Jacobian column and can walk back inside. The cost is re-evaluated
 // with jointCost2D at the returned point, so every caller compares the
 // same objective whatever optimizer produced the point.
-func runJoint2D(sc *solveScratch, p0 []float64, bounds Bounds, maxIter int, target float64) Estimate {
+func runJoint2D(sc *solveScratch, p0 []float64, bounds Bounds, maxIter int) Estimate {
 	ws := lmWorkspaces.Get().(*mathx.LMWorkspace)
 	defer lmWorkspaces.Put(ws)
 	lo, hi := bounds.lmBox2D()
@@ -574,7 +500,7 @@ func runJoint2D(sc *solveScratch, p0 []float64, bounds Bounds, maxIter int, targ
 		Jacobian:     sc.jointJacobian2D,
 		Lower:        lo[:],
 		Upper:        hi[:],
-	}, p0, jointLMOptions(maxIter, target))
+	}, p0, jointLMOptions(maxIter))
 	p := res.Params
 	return Estimate{
 		Pos:   geom.Vec3{X: p[0], Y: p[1]},
@@ -605,8 +531,8 @@ func (b Bounds) lmBox3D() (lo, hi [7]float64) {
 }
 
 // jointLMOptions are the stopping rules of one joint-solve start.
-func jointLMOptions(maxIter int, target float64) mathx.LMOptions {
-	return mathx.LMOptions{MaxIterations: maxIter, TolRSS: jointTolRSS, Target: target}
+func jointLMOptions(maxIter int) mathx.LMOptions {
+	return mathx.LMOptions{MaxIterations: maxIter, TolRSS: jointTolRSS}
 }
 
 // solveDetached2D is the fine-phase-off ablation: slope-only position

@@ -139,177 +139,6 @@ func TestKernelsZeroAlloc(t *testing.T) {
 
 func p3pos(p []float64) geom.Vec3 { return geom.Vec3{X: p[0], Y: p[1], Z: p[2]} }
 
-// TestSolve2DWarmTracksStationaryTag: with a trustworthy previous
-// estimate the warm path must land on (essentially) the cold answer
-// without falling back.
-func TestSolve2DWarmTracksStationaryTag(t *testing.T) {
-	pos := geom.Vec3{X: 0.7, Y: 1.2}
-	obs := synthObs(testAnts, testAims, pos, mathx.Rad(60), 0.9e-8, 1.2)
-	cold, err := Solve2D(obs, testBounds, Options{NoKtPrior: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats SolveStats
-	warm, err := Solve2D(obs, testBounds, Options{NoKtPrior: true, WarmStart: &cold, Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.WarmAttempts.Load() != 1 || stats.WarmFallbacks.Load() != 0 {
-		t.Fatalf("warm attempts=%d fallbacks=%d, want 1/0",
-			stats.WarmAttempts.Load(), stats.WarmFallbacks.Load())
-	}
-	if d := warm.Pos.Dist(cold.Pos); d > 0.005 {
-		t.Errorf("warm position %.4f m from cold", d)
-	}
-	if oe := math.Abs(mathx.AngDiffPeriod(warm.Alpha, cold.Alpha, math.Pi)); mathx.Deg(oe) > 2 {
-		t.Errorf("warm orientation %.2f° from cold", mathx.Deg(oe))
-	}
-}
-
-// TestSolve2DWarmFallsBackOnTeleport: a stale seed from a tag that
-// jumped across the region must trip a guard and still produce the
-// cold-path answer.
-func TestSolve2DWarmFallsBackOnTeleport(t *testing.T) {
-	posA := geom.Vec3{X: 0.4, Y: 0.9}
-	posB := geom.Vec3{X: 1.6, Y: 2.2}
-	obsA := synthObs(testAnts, testAims, posA, mathx.Rad(30), 0.9e-8, 1.2)
-	obsB := synthObs(testAnts, testAims, posB, mathx.Rad(110), 0.9e-8, 1.2)
-	stale, err := Solve2D(obsA, testBounds, Options{NoKtPrior: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats SolveStats
-	est, err := Solve2D(obsB, testBounds, Options{NoKtPrior: true, WarmStart: &stale, Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.WarmFallbacks.Load() != 1 {
-		t.Fatalf("fallbacks=%d, want 1 (teleport must not be served warm)", stats.WarmFallbacks.Load())
-	}
-	if d := est.Pos.Dist(posB); d > 0.01 {
-		t.Errorf("post-fallback position error %.3f m", d)
-	}
-}
-
-// TestSolve3DWarmStationaryAndTeleport: same contract for the
-// seven-unknown solver (one case each — 3D solves are expensive).
-func TestSolve3DWarmStationaryAndTeleport(t *testing.T) {
-	posA := geom.Vec3{X: 0.8, Y: 1.3, Z: 0.35}
-	obsA := synthObs3D(posA, rf.TagPolarization3D(mathx.Rad(40), mathx.Rad(25)), 0.7e-8, 2.5)
-	cold, err := Solve3D(obsA, testBounds3D, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats SolveStats
-	warm, err := Solve3D(obsA, testBounds3D, Options{WarmStart: &cold, Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.WarmFallbacks.Load() != 0 {
-		t.Fatalf("stationary 3D warm fell back")
-	}
-	if d := warm.Pos.Dist(cold.Pos); d > 0.01 {
-		t.Errorf("3D warm position %.4f m from cold", d)
-	}
-	posB := geom.Vec3{X: 1.4, Y: 2.1, Z: 0.1}
-	obsB := synthObs3D(posB, rf.TagPolarization3D(mathx.Rad(130), mathx.Rad(-10)), 0.7e-8, 2.5)
-	est, err := Solve3D(obsB, testBounds3D, Options{WarmStart: &cold, Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.WarmFallbacks.Load() != 1 {
-		t.Fatalf("3D teleport served warm (fallbacks=%d)", stats.WarmFallbacks.Load())
-	}
-	if d := est.Pos.Dist(posB); d > 0.02 {
-		t.Errorf("3D post-fallback position error %.3f m", d)
-	}
-}
-
-// TestFastPathParallelMatchesSerial: pruning and warm starts must keep
-// the serial==parallel bit-identity contract — budgets and seeds are
-// fixed before the fan-out, so Parallelism must not change the answer.
-func TestFastPathParallelMatchesSerial(t *testing.T) {
-	pos := geom.Vec3{X: 1.3, Y: 1.7}
-	obs := synthObs(testAnts, testAims, pos, mathx.Rad(75), 1.1e-8, 4.0)
-	warmSeed, err := Solve2D(obs, testBounds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []Options{
-		{PruneStarts: true},
-		{WarmStart: &warmSeed},
-		{WarmStart: &warmSeed, PruneStarts: true},
-	} {
-		serialOpts, parOpts := opts, opts
-		serialOpts.Parallelism = 1
-		parOpts.Parallelism = 8
-		serial, err := Solve2D(obs, testBounds, serialOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := Solve2D(obs, testBounds, parOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial != par {
-			t.Errorf("opts %+v: serial and parallel estimates differ:\n%+v\n%+v", opts, serial, par)
-		}
-	}
-}
-
-// TestSolve2DPruneStaysAccurate: pruning may only cut iteration
-// budgets of bad starts, not accuracy — noiseless windows must still
-// solve near-exactly, and the pruned-start counter must fire.
-func TestSolve2DPruneStaysAccurate(t *testing.T) {
-	var stats SolveStats
-	for _, c := range []struct {
-		pos      geom.Vec3
-		alphaDeg float64
-	}{
-		{geom.Vec3{X: 0.7, Y: 1.2}, 60},
-		{geom.Vec3{X: 1.5, Y: 2.1}, 10},
-	} {
-		obs := synthObs(testAnts, testAims, c.pos, mathx.Rad(c.alphaDeg), 0.9e-8, 1.2)
-		est, err := Solve2D(obs, testBounds, Options{NoKtPrior: true, PruneStarts: true, Stats: &stats})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := est.Pos.Dist(c.pos); d > 0.01 {
-			t.Errorf("%+v: pruned solve position error %.3f m", c, d)
-		}
-	}
-	// Both solves prune every start outside the default PruneKeep 25%.
-	n := len(basinOffsets) * len(basinOffsets) * orientStarts2D
-	if got, want := stats.StartsPruned.Load(), int64(2*(n-int(math.Ceil(0.25*float64(n))))); got != want {
-		t.Errorf("StartsPruned = %d, want %d (%d starts per solve)", got, want, n)
-	}
-}
-
-// TestPruneBudgets pins the deterministic ranking: budgets depend only
-// on (cost, index), the keep fraction rounds up, and pruning off means
-// a nil plan.
-func TestPruneBudgets(t *testing.T) {
-	starts := [][]float64{{3}, {1}, {2}, {1}, {5}}
-	costAt := func(p []float64) float64 { return p[0] }
-	opts := Options{PruneStarts: true, PruneKeep: 0.4, PruneIters: 7}
-	opts.defaults()
-	budgets := pruneBudgets(starts, costAt, opts)
-	// keep = ceil(0.4·5) = 2: costs 1 (idx 1) and 1 (idx 3) — the tie
-	// breaks toward the lower index, but both are in the kept set.
-	want := []int{7, 0, 7, 0, 7}
-	for i := range want {
-		if budgets[i] != want[i] {
-			t.Fatalf("budgets = %v, want %v", budgets, want)
-		}
-	}
-	if pruneBudgets(starts, costAt, Options{}) != nil {
-		t.Fatal("pruning off must return a nil plan")
-	}
-	if budgetFor(budgets, 0, 200) != 7 || budgetFor(budgets, 1, 200) != 200 || budgetFor(nil, 3, 200) != 200 {
-		t.Fatal("budgetFor resolution wrong")
-	}
-}
-
 // TestVerifyEstimateAgreesWithSolveCost: verifying a solver's own
 // output must reproduce (essentially) the solver's reported cost —
 // that is what makes it usable as the cache's consistency check.

@@ -119,8 +119,8 @@ func TestJointJacobian3D(t *testing.T) {
 	}
 }
 
-// TestRunJoint2DLeavesBound: a start outside the region (as a warm
-// start or an ambiguity probe clamped past the edge can be) is moved
+// TestRunJoint2DLeavesBound: a start outside the region (as an
+// ambiguity probe clamped past the edge can be) is moved
 // onto the bound and must still walk inside to a tag 2 cm from the
 // edge, instead of staying pinned on the bound.
 func TestRunJoint2DLeavesBound(t *testing.T) {
@@ -129,7 +129,7 @@ func TestRunJoint2DLeavesBound(t *testing.T) {
 	obs := synthObs(testAnts, testAims, truth, alpha, kt, bt0)
 	sc := newCostScratch(obs, 0.04, ktPrior{})
 	for _, y0 := range []float64{testBounds.YMin - 0.1, testBounds.YMin} {
-		est := runJoint2D(sc, []float64{truth.X, y0, alpha, kt, bt0}, testBounds, jointIters2D, 0)
+		est := runJoint2D(sc, []float64{truth.X, y0, alpha, kt, bt0}, testBounds, jointIters2D)
 		if d := est.Pos.Dist(truth); d > 1e-3 {
 			t.Fatalf("start y %.2f: estimate %v is %.1f mm from the tag %v", y0, est.Pos, d*1e3, truth)
 		}

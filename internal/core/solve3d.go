@@ -25,15 +25,6 @@ func Solve3D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 
 	sc := newSolveScratch(obs, &opts)
 
-	// Warm fast path, guarded exactly like the 2D one.
-	if opts.WarmStart != nil && !opts.DisableFinePhase {
-		opts.countWarmAttempt()
-		if est, ok := solve3DWarm(sc, bounds, opts); ok {
-			return est, nil
-		}
-		opts.countWarmFallback()
-	}
-
 	// Stage 1: wrap-free coarse position from the slopes.
 	posA := gridSearch3D(sc, bounds, opts.GridStep*2, opts.Parallelism)
 	posA = refinePos3D(sc, posA, bounds, opts.GridStep*2)
@@ -69,10 +60,9 @@ func Solve3D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 			}
 		}
 	}
-	budgets := pruneBudgets(starts, sc.jointCost3D, opts)
 	cands := make([]Estimate, len(starts))
 	parallelFor(len(starts), workerCount(opts.Parallelism, len(starts)), func(i int) {
-		cands[i] = runJoint3D(sc, starts[i], bounds, budgetFor(budgets, i, jointIters3D), 0)
+		cands[i] = runJoint3D(sc, starts[i], bounds, jointIters3D)
 	})
 	return refinePolar3D(sc, reduceMinCost(cands)), nil
 }
@@ -128,11 +118,10 @@ func jointCost3D(obs []Observation, p []float64, sigmaB float64, prior ktPrior) 
 }
 
 // runJoint3D runs one Levenberg–Marquardt start of the joint 3D
-// multistart; target > 0 stops it early once it matches that cost
-// (warm path). As in runJoint2D, the start and every step are kept
+// multistart. As in runJoint2D, the start and every step are kept
 // inside the bounds and the cost is re-evaluated with jointCost3D at the
 // returned point.
-func runJoint3D(sc *solveScratch, p0 []float64, bounds Bounds, maxIter int, target float64) Estimate {
+func runJoint3D(sc *solveScratch, p0 []float64, bounds Bounds, maxIter int) Estimate {
 	ws := lmWorkspaces.Get().(*mathx.LMWorkspace)
 	defer lmWorkspaces.Put(ws)
 	lo, hi := bounds.lmBox3D()
@@ -143,7 +132,7 @@ func runJoint3D(sc *solveScratch, p0 []float64, bounds Bounds, maxIter int, targ
 		Jacobian:     sc.jointJacobian3D,
 		Lower:        lo[:],
 		Upper:        hi[:],
-	}, p0, jointLMOptions(maxIter, target))
+	}, p0, jointLMOptions(maxIter))
 	p := res.Params
 	az, el := normalizePolar3D(p[3], p[4])
 	return Estimate{

@@ -159,7 +159,7 @@ func NewMetrics(start time.Time) *Metrics {
 // extra instruments (the debug endpoint adds Go runtime gauges).
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
-// AttachSolverStats registers the solver fast-path counters, sampled
+// AttachSolverStats registers the solver fast-path counter, sampled
 // from stats at render time (the counters live on the System so they
 // also serve programmatic callers; see rfprism.System.SolveStats).
 // Call at most once per Metrics.
@@ -167,12 +167,6 @@ func (m *Metrics) AttachSolverStats(stats func() rfprism.SolveStatsSnapshot) {
 	m.reg.NewCounterFunc("solver_cache_hits_total",
 		"Windows served from the stationary-tag cache without solving.",
 		func() int64 { return stats().CacheHits })
-	m.reg.NewCounterFunc("solver_warm_fallbacks_total",
-		"Warm-started solves that failed a guard and re-ran the cold path.",
-		func() int64 { return stats().WarmFallbacks })
-	m.reg.NewCounterFunc("solver_starts_pruned_total",
-		"Multistart seeds demoted to the short iteration budget by adaptive pruning.",
-		func() int64 { return stats().StartsPruned })
 }
 
 // WindowClosed counts one window leaving the sessionizer.

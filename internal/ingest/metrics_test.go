@@ -38,11 +38,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	})
 	// Solver fast-path counters, sampled from the System at render time.
 	m.AttachSolverStats(func() rfprism.SolveStatsSnapshot {
-		return rfprism.SolveStatsSnapshot{
-			CacheHits: 9, CacheMisses: 4,
-			WarmAttempts: 6, WarmFallbacks: 2,
-			StartsPruned: 440,
-		}
+		return rfprism.SolveStatsSnapshot{CacheHits: 9, CacheMisses: 4}
 	})
 
 	var buf bytes.Buffer

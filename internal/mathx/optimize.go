@@ -72,11 +72,6 @@ type LMOptions struct {
 	TolRSS        float64 // relative RSS improvement tolerance, default 1e-12
 	TolStep       float64 // parameter step tolerance, default 1e-12
 	InitialLambda float64 // initial damping, default 1e-3
-	// Target, when positive, stops the solve as soon as the RSS is
-	// ≤ Target: callers that only need "good enough" (a warm-started
-	// solve matching its previous window's cost) stop paying for
-	// iterations a later pass would redo anyway.
-	Target float64
 }
 
 func (o *LMOptions) defaults() {
@@ -170,10 +165,6 @@ func (w *LMWorkspace) Solve(prob LMProblem, p0 []float64, opts LMOptions) (LMRes
 
 	res := LMResult{Params: p, RSS: rss}
 	for iter := 0; iter < opts.MaxIterations; iter++ {
-		if opts.Target > 0 && rss <= opts.Target {
-			res.RSS, res.Converged = rss, true
-			return res, nil
-		}
 		res.Iterations = iter + 1
 		evalJacobian(prob, p, r, jac, pt, rt)
 
@@ -266,10 +257,6 @@ func (w *LMWorkspace) Solve(prob LMProblem, p0 []float64, opts LMOptions) (LMRes
 		}
 	}
 	res.RSS = rss
-	if opts.Target > 0 && rss <= opts.Target {
-		res.Converged = true
-		return res, nil
-	}
 	return res, ErrNoConvergence
 }
 

@@ -318,34 +318,3 @@ func TestLMBoundActiveSet(t *testing.T) {
 		t.Fatalf("minimum (0, 1): got %v after %d iterations", res.Params, res.Iterations)
 	}
 }
-
-// TestLMTargetStopsEarly: a positive Target ends the solve at the first
-// iterate whose RSS reaches it, short of full convergence, and reports
-// it as converged; a Target above the starting RSS runs no iteration.
-func TestLMTargetStopsEarly(t *testing.T) {
-	prob := expFitProblem()
-	p0 := []float64{1, 0}
-	full, err := LevenbergMarquardt(prob, p0, LMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := make([]float64, prob.NumResiduals)
-	prob.Residuals(p0, r)
-	rss0 := dot(r, r)
-	target := full.RSS + 0.05*(rss0-full.RSS)
-	early, err := LevenbergMarquardt(prob, p0, LMOptions{Target: target})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !early.Converged || early.RSS > target || early.Iterations >= full.Iterations {
-		t.Fatalf("Target %g: RSS %g after %d iterations (full solve: %g after %d)",
-			target, early.RSS, early.Iterations, full.RSS, full.Iterations)
-	}
-	if early.RSS == full.RSS {
-		t.Fatal("Target run reached the full minimum; it did not stop early")
-	}
-	none, err := LevenbergMarquardt(prob, p0, LMOptions{Target: 2 * rss0})
-	if err != nil || none.Iterations != 0 || none.RSS != rss0 {
-		t.Fatalf("Target above the start: %d iterations, RSS %g (start %g), err %v", none.Iterations, none.RSS, rss0, err)
-	}
-}

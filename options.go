@@ -65,10 +65,9 @@ type RuntimeConfig struct {
 	// ProcessHook runs inside the per-window panic fence just before
 	// each solve; see WithProcessHook.
 	ProcessHook func(Window)
-	// FastPath configures the solver fast path (warm-started solves
-	// and the stationary-tag cache) for tagged windows; see
-	// FastPathConfig, WithWarmStart and WithSolveCache. The zero value
-	// disables it.
+	// FastPath configures the solver fast path (the stationary-tag
+	// cache) for tagged windows; see FastPathConfig and WithSolveCache.
+	// The zero value disables it.
 	FastPath FastPathConfig
 }
 
@@ -179,15 +178,13 @@ func WithTracer(t Tracer) Option {
 	return func(s *System) { s.cfg.Runtime.Tracer = t }
 }
 
-// WithWarmStart seeds each tagged solve from the tag's previous
-// estimate, collapsing the multistart to a small basin-local set when
-// the tag moved little between windows. Warm solves that fail a
-// consistency guard (the tag teleported, or the warm result's cost
-// regressed) transparently re-run the full cold path, so accuracy is
-// bounded by the guards, not by the seed. Only windows processed with
-// a non-empty Window.Tag participate; see FastPathConfig.
+// WithWarmStart does nothing: warm start was removed, and every solve
+// that the stationary-tag cache does not serve runs the cold multistart.
+//
+// Deprecated: the benchmark harness still passes this option; use
+// WithSolveCache for the fast path.
 func WithWarmStart() Option {
-	return func(s *System) { s.cfg.Runtime.FastPath.WarmStart = true }
+	return func(*System) {}
 }
 
 // WithSolveCache enables the stationary-tag cache over the last n tags:

@@ -124,7 +124,7 @@ type System struct {
 	antennaCal core.AntennaCal
 	tagCals    map[string]TagCal
 
-	// fastpath is the per-tag warm/cache state (nil when the fast path
+	// fastpath is the per-tag stationary cache (nil when the fast path
 	// is disabled); solveStats counts its outcomes either way.
 	fastpath   *solveCache
 	solveStats solveStats
@@ -367,8 +367,8 @@ func (s *System) processWindow(tag string, attempt int, readings []sim.Reading) 
 }
 
 // processWindowStages is the pipeline body: observe → detector → solve.
-// tag keys the solver fast path (warm seeds and the stationary-tag
-// cache are per-tag state); an empty tag always solves cold.
+// tag keys the solver fast path (the stationary-tag cache is per-tag
+// state); an empty tag always solves cold.
 func (s *System) processWindowStages(tb *traceBuf, tag string, readings []sim.Reading) (*Result, error) {
 	wo, err := s.observe(tb, readings)
 	if err != nil {

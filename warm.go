@@ -11,22 +11,16 @@ import (
 )
 
 // FastPathConfig configures the solver fast path for the tagged batch
-// and stream entry points (ProcessWindows / ProcessStream): warm-started
-// solves seeded from each tag's previous estimate, and a stationary-tag
-// cache that skips the solve entirely when a tag's spectra have not
-// moved. Both features key on Window.Tag — untagged windows always take
-// the cold path. The zero value disables the fast path.
+// and stream entry points (ProcessWindows / ProcessStream): a
+// stationary-tag cache that skips the solve entirely when a tag's
+// spectra have not moved. It keys on Window.Tag — untagged windows
+// always solve. The zero value disables the fast path.
 //
-// The fast path is an accelerator, never an oracle: warm solves fall
-// back to the full cold multistart when a consistency guard fails, and
-// cached estimates are served only after re-verifying them against the
-// current window's joint objective. See DESIGN.md §11.
+// The fast path is an accelerator, never an oracle: cached estimates
+// are served only after re-verifying them against the current window's
+// joint objective, and every miss runs the full cold multistart. See
+// DESIGN.md §11.
 type FastPathConfig struct {
-	// WarmStart seeds each tagged solve from the tag's previous
-	// estimate (see core.Options.WarmStart), collapsing the multistart
-	// to a basin-local set when the tag moved little since the last
-	// window.
-	WarmStart bool
 	// CacheSize > 0 enables the stationary-tag cache: an LRU over the
 	// last CacheSize tags. A window whose per-antenna fitted lines
 	// match the tag's previous window within CacheDK/CacheDB is served
@@ -47,8 +41,8 @@ type FastPathConfig struct {
 	CacheGuardFactor float64
 }
 
-// enabled reports whether any part of the fast path is on.
-func (c FastPathConfig) enabled() bool { return c.WarmStart || c.CacheSize > 0 }
+// enabled reports whether the fast path is on.
+func (c FastPathConfig) enabled() bool { return c.CacheSize > 0 }
 
 // withDefaults fills the zero tolerances.
 func (c FastPathConfig) withDefaults() FastPathConfig {
@@ -97,16 +91,11 @@ type cacheEntry struct {
 }
 
 func newSolveCache(cfg FastPathConfig) *solveCache {
-	capacity := cfg.CacheSize
-	if capacity <= 0 {
-		// Warm start alone still needs per-tag memory; bound it.
-		capacity = 64
-	}
 	return &solveCache{
 		cfg:   cfg.withDefaults(),
 		ll:    list.New(),
-		byTag: make(map[string]*list.Element, capacity),
-		cap:   capacity,
+		byTag: make(map[string]*list.Element, cfg.CacheSize),
+		cap:   cfg.CacheSize,
 	}
 }
 
@@ -192,7 +181,6 @@ func stationaryDelta(sig []antennaSig, obs []core.Observation, cfg FastPathConfi
 type solveStats struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
-	core        core.SolveStats
 }
 
 // SolveStatsSnapshot is a point-in-time copy of the solver fast-path
@@ -204,12 +192,17 @@ type SolveStatsSnapshot struct {
 	// CacheMisses counts tagged fast-path windows that had to solve
 	// (no previous state, the tag moved, or verification failed).
 	CacheMisses int64
-	// WarmAttempts / WarmFallbacks count solves that entered the warm
-	// fast path and those that failed a guard and re-ran cold.
-	WarmAttempts  int64
+	// Deprecated: warm start was removed and every miss solves cold,
+	// so WarmAttempts always reads 0. It stays only because the
+	// benchmark harness still reads it.
+	WarmAttempts int64
+	// Deprecated: warm start was removed, so WarmFallbacks always
+	// reads 0. It stays only because the benchmark harness still
+	// reads it.
 	WarmFallbacks int64
-	// StartsPruned counts multistart seeds demoted to the short
-	// iteration budget by adaptive pruning.
+	// Deprecated: start pruning was removed, so StartsPruned always
+	// reads 0. It stays only because the benchmark harness still
+	// reads it.
 	StartsPruned int64
 }
 
@@ -218,11 +211,8 @@ type SolveStatsSnapshot struct {
 // while windows are being processed.
 func (s *System) SolveStats() SolveStatsSnapshot {
 	return SolveStatsSnapshot{
-		CacheHits:     s.solveStats.cacheHits.Load(),
-		CacheMisses:   s.solveStats.cacheMisses.Load(),
-		WarmAttempts:  s.solveStats.core.WarmAttempts.Load(),
-		WarmFallbacks: s.solveStats.core.WarmFallbacks.Load(),
-		StartsPruned:  s.solveStats.core.StartsPruned.Load(),
+		CacheHits:   s.solveStats.cacheHits.Load(),
+		CacheMisses: s.solveStats.cacheMisses.Load(),
 	}
 }
 
@@ -238,28 +228,23 @@ func (s *System) SolveStats() SolveStatsSnapshot {
 //     through the tolerance cannot ratchet the cache along with it —
 //     positional drift accumulates against the original fingerprint
 //     until it forces a real solve.
-//  2. Otherwise solve, warm-seeded from the previous estimate when
-//     WarmStart is on (core.Solve2D/3D fall back to the cold path
-//     internally if the seed fails its guards).
+//  2. Otherwise solve cold.
 //  3. Store the fresh estimate + fingerprint for the next window.
 //
-// Untagged windows and Systems without a fast path solve cold, exactly
-// as before.
+// Untagged windows and Systems without a fast path always solve cold.
 func (s *System) solveEstimate(tag string, obs []core.Observation) (Estimate, error) {
-	opts := s.cfg.Pipeline.Solver
-	opts.Stats = &s.solveStats.core
-
-	var prev *tagState
 	if s.fastpath != nil && tag != "" {
-		prev = s.fastpath.get(tag)
-		if prev != nil && s.fastpath.cfg.CacheSize > 0 {
+		if prev := s.fastpath.get(tag); prev != nil {
 			if dK, dB, ok := stationaryDelta(prev.sig, obs, s.fastpath.cfg); ok {
 				est := prev.est
 				est.Kt += dK
 				est.Bt0 = mathx.Wrap2Pi(est.Bt0 + dB)
 				cost := core.VerifyEstimate(obs, est, s.cfg.Pipeline.Mode3D, s.cfg.Pipeline.Solver)
-				ceiling := s.fastpath.cfg.CacheGuardFactor *
-					math.Max(prev.est.Cost, core.WarmCostFloor(len(obs)))
+				// A well-fit window costs ≈2N (2N residual terms of unit
+				// expected size); flooring the cached cost there keeps a
+				// lucky near-zero-cost window from making its successor's
+				// verification impossibly tight.
+				ceiling := s.fastpath.cfg.CacheGuardFactor * math.Max(prev.est.Cost, 2*float64(len(obs)))
 				if cost <= ceiling {
 					s.solveStats.cacheHits.Add(1)
 					est.Cost = cost
@@ -268,18 +253,14 @@ func (s *System) solveEstimate(tag string, obs []core.Observation) (Estimate, er
 			}
 		}
 		s.solveStats.cacheMisses.Add(1)
-		if prev != nil && s.fastpath.cfg.WarmStart {
-			warm := prev.est
-			opts.WarmStart = &warm
-		}
 	}
 
 	var est Estimate
 	var err error
 	if s.cfg.Pipeline.Mode3D {
-		est, err = core.Solve3D(obs, s.bounds, opts)
+		est, err = core.Solve3D(obs, s.bounds, s.cfg.Pipeline.Solver)
 	} else {
-		est, err = core.Solve2D(obs, s.bounds, opts)
+		est, err = core.Solve2D(obs, s.bounds, s.cfg.Pipeline.Solver)
 	}
 	if err != nil {
 		return Estimate{}, err
