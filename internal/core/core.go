@@ -130,8 +130,6 @@ type Options struct {
 	// suppresses the radial position/k_t near-ambiguity at the far
 	// edge of the region; disabling it is an ablation.
 	NoKtPrior bool
-	// KtPriorMean/KtPriorSigma override the default k_t prior.
-	KtPriorMean, KtPriorSigma float64
 	// Parallelism bounds the solver's worker count for the grid
 	// search and the joint multistart: 0 uses GOMAXPROCS, 1 forces
 	// the serial path. Parallel and serial runs produce bit-identical
@@ -147,13 +145,6 @@ func (o *Options) defaults() {
 	}
 	if o.SigmaB <= 0 {
 		o.SigmaB = 0.04
-	}
-	if o.KtPriorSigma <= 0 {
-		o.KtPriorMean = rf.KtPhysicalMean
-		o.KtPriorSigma = rf.KtPhysicalSigma
-	}
-	if o.NoKtPrior {
-		o.KtPriorSigma = 0
 	}
 }
 
@@ -243,10 +234,11 @@ type ktPrior struct {
 }
 
 func (o Options) prior() ktPrior {
-	if o.KtPriorSigma <= 0 {
+	if o.NoKtPrior {
 		return ktPrior{}
 	}
-	return ktPrior{mean: o.KtPriorMean, wp: 1 / (o.KtPriorSigma * o.KtPriorSigma)}
+	sigma := rf.KtPhysicalSigma // a variable: float64 rounding, not exact constant arithmetic
+	return ktPrior{mean: rf.KtPhysicalMean, wp: 1 / (sigma * sigma)}
 }
 
 func slopeCost(obs []Observation, p geom.Vec3, prior ktPrior) (cost, kt float64) {
