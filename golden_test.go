@@ -21,7 +21,7 @@ import (
 // fused trig, fewer allocations) must leave it unchanged: the contract
 // is bit identity, not closeness. Update it only with a change that
 // means to move the solver's numbers, and say so in CHANGES.md.
-const goldenSolverDigest = 0x324dd62fc7f2cd29
+const goldenSolverDigest = 0x9ba05671087913c6
 
 // digest accumulates float64 bit patterns and integers in a fixed order.
 type digest struct{ h hash.Hash64 }

@@ -53,7 +53,9 @@ func MinAntennas(mode3D bool) int {
 // Observation is the per-antenna input to the disentangler: the
 // antenna's surveyed geometry and the fitted phase-vs-frequency line
 // of the current window. Freqs/Phases optionally carry the surviving
-// channel samples for the per-channel maximum-likelihood polish.
+// channel samples, which the solver does not read: they feed only the
+// per-channel device phases of tag calibration and material features
+// (rfprism's devicePhases).
 type Observation struct {
 	ID     int
 	Pos    geom.Vec3
@@ -121,10 +123,6 @@ type Options struct {
 	// orientation fit — the ablation showing what the wrapped
 	// intercept equations buy.
 	DisableFinePhase bool
-	// MLPolish additionally refines against the raw per-channel
-	// phases (requires Freqs/Phases in the observations). Off by
-	// default; exposed for the ablation benches.
-	MLPolish bool
 	// NoKtPrior disables the weak physical prior on the common
 	// slope offset k_t. The prior (rf.KtPhysicalMean ± Sigma)
 	// suppresses the radial position/k_t near-ambiguity at the far
@@ -149,12 +147,11 @@ func (o *Options) defaults() {
 }
 
 // Iteration budgets of the joint multistart stages (Levenberg–Marquardt
-// iterations per start) and the final fine simplex pass, and the
-// relative cost improvement below which a start has converged.
+// iterations per start) and the relative cost improvement below which
+// a start has converged.
 const (
 	jointIters2D = 30
 	jointIters3D = 60
-	fineIters2D  = 500
 	jointTolRSS  = 1e-9
 )
 
@@ -373,87 +370,7 @@ func Solve2D(obs []Observation, bounds Bounds, opts Options) (Estimate, error) {
 	parallelFor(len(starts), workerCount(opts.Parallelism, len(starts)), func(i int) {
 		cands[i] = runJoint2D(sc, starts[i], bounds, jointIters2D)
 	})
-
-	// Dense orientation refinement, the final fine simplex (the
-	// multistart runs are iteration-capped and stop at a relative cost
-	// tolerance), and the optional ML polish.
-	best := refineAlpha2D(sc, reduceMinCost(cands))
-	if fine := runJoint2DFine(sc, best, bounds); fine.Cost < best.Cost {
-		best = fine
-	}
-	best = refineAlpha2D(sc, best)
-	if opts.MLPolish {
-		best = polish2D(sc.obs, best, bounds)
-		best = refineAlpha2D(sc, best)
-	}
-	return best, nil
-}
-
-// runJoint2DFine is a tighter, longer simplex pass around an
-// already-good candidate.
-func runJoint2DFine(sc *solveScratch, est Estimate, bounds Bounds) Estimate {
-	p0 := []float64{est.Pos.X, est.Pos.Y, est.Alpha, est.Kt, est.Bt0}
-	q := make([]float64, 5)
-	obj := func(p []float64) float64 {
-		q[0] = clamp(p[0], bounds.XMin, bounds.XMax)
-		q[1] = clamp(p[1], bounds.YMin, bounds.YMax)
-		q[2], q[3], q[4] = p[2], p[3], p[4]
-		return sc.jointCost2D(q)
-	}
-	p, cost := mathx.NelderMead(obj, p0, 0.004, fineIters2D)
-	return Estimate{
-		Pos:   geom.Vec3{X: clamp(p[0], bounds.XMin, bounds.XMax), Y: clamp(p[1], bounds.YMin, bounds.YMax)},
-		Alpha: normalizeAlpha(p[2]),
-		Kt:    p[3],
-		Bt0:   mathx.Wrap2Pi(p[4]),
-		Cost:  cost,
-	}
-}
-
-// refineAlpha2D re-estimates the orientation with a dense grid at the
-// solved position: the joint optimizer can stall in a local minimum of
-// the angle-doubled orientation response, and a 1-degree grid over
-// [0, pi) is cheap insurance — trig-free via the precomputed
-// polarization table. The result is kept only if it lowers the joint
-// cost.
-func refineAlpha2D(sc *solveScratch, est Estimate) Estimate {
-	sc.setPsi(est.Pos)
-	g := alphaGrid()
-	bi, _ := sc.scanOrient(g)
-	alpha := refineAngle(func(a float64) float64 {
-		c, _ := orientCost(sc.obs, sc.psi, rf.TagPolarization2D(a))
-		return c
-	}, g.az[bi], mathx.Rad(1))
-	_, bt0 := orientCost(sc.obs, sc.psi, rf.TagPolarization2D(alpha))
-	cand := []float64{est.Pos.X, est.Pos.Y, alpha, est.Kt, bt0}
-	if c := sc.jointCost2D(cand); c < est.Cost {
-		est.Alpha = normalizeAlpha(alpha)
-		est.Bt0 = bt0
-		est.Cost = c
-	}
-	return est
-}
-
-// refineAngle golden-sections a 1D angular objective around a coarse
-// minimum.
-func refineAngle(f func(float64) float64, center, halfWidth float64) float64 {
-	const phi = 0.6180339887498949
-	a, b := center-halfWidth, center+halfWidth
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	fc, fd := f(c), f(d)
-	for i := 0; i < 40 && (b-a) > 1e-6; i++ {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2
+	return reduceMinCost(cands), nil
 }
 
 // basinOffsets are the per-axis start offsets of the 2D multistart:
@@ -600,58 +517,6 @@ func refinePos2D(sc *solveScratch, start geom.Vec3, bounds Bounds, scale float64
 		X: clamp(refined[0], bounds.XMin, bounds.XMax),
 		Y: clamp(refined[1], bounds.YMin, bounds.YMax),
 	}
-}
-
-// polish2D jointly refines all five unknowns against the raw
-// per-channel phases with wrapped residuals — the maximum-likelihood
-// finish documented in DESIGN.md §5 (ablation: MLPolish).
-func polish2D(obs []Observation, est Estimate, bounds Bounds) Estimate {
-	var n int
-	for _, o := range obs {
-		n += len(o.Freqs)
-	}
-	if n < 10 {
-		return est
-	}
-	prob := mathx.LMProblem{
-		NumResiduals: n + len(obs),
-		NumParams:    5,
-		Step:         []float64{1e-4, 1e-4, 1e-4, 1e-11, 1e-4},
-		Residuals: func(p, out []float64) {
-			pos := geom.Vec3{X: p[0], Y: p[1]}
-			w := rf.TagPolarization2D(p[2])
-			kt, bt0 := p[3], p[4]
-			idx := 0
-			for _, o := range obs {
-				d := o.Pos.Dist(pos)
-				orient := rf.OrientationPhase(o.Frame, w)
-				for j, f := range o.Freqs {
-					pred := rf.PropagationPhase(d, f) + orient + kt*(f-rf.CenterFrequencyHz) + bt0
-					out[idx] = mathx.WrapPi(o.Phases[j] - pred)
-					idx++
-				}
-				// Slope anchor keeps the polish in the right basin.
-				out[idx] = (o.Line.K - rf.PropagationSlope(d) - kt) * 2e7
-				idx++
-			}
-		},
-	}
-	p0 := []float64{est.Pos.X, est.Pos.Y, est.Alpha, est.Kt, est.Bt0}
-	res, err := mathx.LevenbergMarquardt(prob, p0, mathx.LMOptions{MaxIterations: 60})
-	if err != nil && !errors.Is(err, mathx.ErrNoConvergence) {
-		return est
-	}
-	x := clamp(res.Params[0], bounds.XMin, bounds.XMax)
-	y := clamp(res.Params[1], bounds.YMin, bounds.YMax)
-	// Reject a polish that wandered to another wrap basin.
-	if math.Hypot(x-est.Pos.X, y-est.Pos.Y) > 0.12 {
-		return est
-	}
-	est.Pos = geom.Vec3{X: x, Y: y}
-	est.Alpha = normalizeAlpha(res.Params[2])
-	est.Kt = res.Params[3]
-	est.Bt0 = mathx.Wrap2Pi(res.Params[4])
-	return est
 }
 
 // normalizeAlpha maps an in-plane polarization angle to [0, π): a

@@ -8,7 +8,6 @@ import (
 
 	"rfprism/internal/geom"
 	"rfprism/internal/mathx"
-	"rfprism/internal/rf"
 )
 
 // TestSolve2DRoundTripProperty: for random tag states the solver must
@@ -80,35 +79,5 @@ func TestSolve2DTranslationConsistency(t *testing.T) {
 	}
 	if oe := math.Abs(mathx.AngDiffPeriod(estA.Alpha, estB.Alpha, math.Pi)); mathx.Deg(oe) > 1 {
 		t.Fatalf("translation changed orientation by %.2f°", mathx.Deg(oe))
-	}
-}
-
-// TestSolve2DMLPolishStaysInBasin: the per-channel polish must not
-// move the estimate away from an already-correct solution.
-func TestSolve2DMLPolishStaysInBasin(t *testing.T) {
-	pos := geom.Vec3{X: 1.2, Y: 1.1}
-	alpha := mathx.Rad(40)
-	kt, bt0 := 0.6e-8, 1.4
-	obs := synthObs(testAnts, testAims, pos, alpha, kt, bt0)
-	// Attach per-channel synthetic phases consistent with the model.
-	w := rf.TagPolarization2D(alpha)
-	for i := range obs {
-		d := obs[i].Pos.Dist(pos)
-		orient := rf.OrientationPhase(obs[i].Frame, w)
-		for _, f := range rf.Channels() {
-			obs[i].Freqs = append(obs[i].Freqs, f)
-			obs[i].Phases = append(obs[i].Phases,
-				rf.PropagationPhase(d, f)+orient+kt*(f-rf.CenterFrequencyHz)+bt0)
-		}
-	}
-	est, err := Solve2D(obs, testBounds, Options{NoKtPrior: true, MLPolish: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := est.Pos.Dist(pos); d > 0.01 {
-		t.Fatalf("polish drifted: %.4f m", d)
-	}
-	if oe := mathx.Deg(math.Abs(mathx.AngDiffPeriod(est.Alpha, alpha, math.Pi))); oe > 2 {
-		t.Fatalf("polish orientation error %.2f°", oe)
 	}
 }

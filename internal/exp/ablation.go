@@ -29,8 +29,7 @@ type AblationSuiteResult struct {
 }
 
 // RunAblations evaluates the design-choice ablations: the joint
-// fine-phase stage, the maximum-likelihood polish, the k_t prior and
-// reduced channel counts.
+// fine-phase stage, the k_t prior and reduced channel counts.
 func RunAblations(cfg Config, reps int) (*AblationSuiteResult, error) {
 	variants := []struct {
 		name     string
@@ -40,8 +39,6 @@ func RunAblations(cfg Config, reps int) (*AblationSuiteResult, error) {
 		{name: "full system"},
 		{name: "no fine-phase (slope-only)", opts: []rfprism.Option{
 			rfprism.WithSolverOptions(core.Options{DisableFinePhase: true})}},
-		{name: "with ML polish", opts: []rfprism.Option{
-			rfprism.WithSolverOptions(core.Options{MLPolish: true})}},
 		{name: "no kt prior", opts: []rfprism.Option{
 			rfprism.WithSolverOptions(core.Options{NoKtPrior: true})}},
 		{name: "25 channels", channels: 25},

@@ -246,7 +246,7 @@ func TestAblationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Variants) != 6 {
+	if len(r.Variants) != 5 {
 		t.Fatalf("%d variants", len(r.Variants))
 	}
 	byName := map[string]AblationResult{}

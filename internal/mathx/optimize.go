@@ -20,14 +20,10 @@ type LMProblem struct {
 	NumResiduals int
 	// NumParams is the length of the parameter vector.
 	NumParams int
-	// Jacobian optionally fills j (NumResiduals×NumParams) with
-	// ∂r_i/∂p_j at p, writing every entry: j is reused across
-	// iterations. When nil, a forward-difference approximation is
-	// used.
+	// Jacobian fills j (NumResiduals×NumParams) with ∂r_i/∂p_j at p,
+	// writing every entry: j is reused across iterations. It is
+	// required.
 	Jacobian func(p []float64, j *Mat)
-	// Step is the finite-difference step per parameter for the
-	// numeric Jacobian. When empty, 1e-7 relative steps are used.
-	Step []float64
 	// Lower and Upper optionally bound p elementwise (nil leaves every
 	// parameter free, an infinite entry leaves one free). The start and
 	// every trial step are clamped into the box, and a parameter on a
@@ -136,12 +132,16 @@ func (w *LMWorkspace) Solve(prob LMProblem, p0 []float64, opts LMOptions) (LMRes
 		return LMResult{}, fmt.Errorf("mathx: %d residuals cannot determine %d parameters", prob.NumResiduals, prob.NumParams)
 	}
 
+	if prob.Jacobian == nil {
+		return LMResult{}, errors.New("mathx: LMProblem.Jacobian is required")
+	}
+
 	n, m := prob.NumParams, prob.NumResiduals
 	if (prob.Lower != nil && len(prob.Lower) != n) || (prob.Upper != nil && len(prob.Upper) != n) {
 		return LMResult{}, fmt.Errorf("mathx: bounds of length %d/%d, want %d", len(prob.Lower), len(prob.Upper), n)
 	}
 	bounded := prob.Lower != nil || prob.Upper != nil
-	size := 7*n + 3*m + m*n + 2*n*n
+	size := 6*n + 2*m + m*n + 2*n*n
 	if cap(w.slab) < size {
 		w.slab = make([]float64, size)
 	}
@@ -151,8 +151,8 @@ func (w *LMWorkspace) Solve(prob LMProblem, p0 []float64, opts LMOptions) (LMRes
 		slab = slab[k:]
 		return s
 	}
-	p, pTrial, jtr, scale, delta, y, pt := take(n), take(n), take(n), take(n), take(n), take(n), take(n)
-	r, rTrial, rt := take(m), take(m), take(m)
+	p, pTrial, jtr, scale, delta, y := take(n), take(n), take(n), take(n), take(n), take(n)
+	r, rTrial := take(m), take(m)
 	w.jac = Mat{Rows: m, Cols: n, Data: take(m * n)}
 	jac := &w.jac
 	jtj, chol := take(n*n), take(n*n)
@@ -166,7 +166,7 @@ func (w *LMWorkspace) Solve(prob LMProblem, p0 []float64, opts LMOptions) (LMRes
 	res := LMResult{Params: p, RSS: rss}
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		res.Iterations = iter + 1
-		evalJacobian(prob, p, r, jac, pt, rt)
+		prob.Jacobian(p, jac)
 
 		// Normal equations JᵀJ and Jᵀr, upper triangle accumulated row
 		// by row.
@@ -260,31 +260,6 @@ func (w *LMWorkspace) Solve(prob LMProblem, p0 []float64, opts LMOptions) (LMRes
 	return res, ErrNoConvergence
 }
 
-// evalJacobian fills jac at p, analytically when the problem has a
-// Jacobian and by forward differences otherwise; pt and rt are the
-// difference scratch (lengths NumParams and NumResiduals).
-func evalJacobian(prob LMProblem, p, r []float64, jac *Mat, pt, rt []float64) {
-	if prob.Jacobian != nil {
-		prob.Jacobian(p, jac)
-		return
-	}
-	n, m := prob.NumParams, prob.NumResiduals
-	copy(pt, p)
-	for j := 0; j < n; j++ {
-		h := 1e-7 * math.Max(math.Abs(p[j]), 1)
-		if prob.Step != nil && j < len(prob.Step) && prob.Step[j] > 0 {
-			h = prob.Step[j]
-		}
-		pt[j] = p[j] + h
-		prob.Residuals(pt, rt)
-		pt[j] = p[j]
-		inv := 1 / h
-		for i := 0; i < m; i++ {
-			jac.Set(i, j, (rt[i]-r[i])*inv)
-		}
-	}
-}
-
 func dot(a, b []float64) float64 {
 	var s float64
 	for i, x := range a {
@@ -300,8 +275,8 @@ func norm(a []float64) float64 {
 // NelderMead minimizes f starting from x0 with the given initial
 // simplex scale and iteration budget (default 500). It is used for the
 // stages whose objectives have no convenient derivatives: the
-// slope-only position refinements, the polarization refinement and the
-// final fine pass over the joint objective.
+// slope-only position refinements, the 3D polarization refinement and
+// the baselines.
 func NelderMead(f func([]float64) float64, x0 []float64, scale float64, maxIter int) ([]float64, float64) {
 	n := len(x0)
 	if n == 0 {
