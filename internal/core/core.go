@@ -221,15 +221,13 @@ func CalibrateAntennas(obs []Observation, truthPos geom.Vec3, truthAlpha float64
 	return AntennaCal{DK: dk, DB: db}, nil
 }
 
-// slopeCost evaluates the stage-1 objective at position p: the
-// weighted variance of e_i = k_i − 4π·d_i/c across antennas (the
-// common offset k_t is profiled out). It returns the cost and the
-// profiled k_t.
 // ktPrior is the (mean, 1/σ²) of the k_t prior; wp = 0 disables it.
 type ktPrior struct {
 	mean, wp float64
 }
 
+// prior is the physical k_t prior (rf.KtPhysicalMean ± Sigma), or none
+// under NoKtPrior.
 func (o Options) prior() ktPrior {
 	if o.NoKtPrior {
 		return ktPrior{}
@@ -238,6 +236,10 @@ func (o Options) prior() ktPrior {
 	return ktPrior{mean: rf.KtPhysicalMean, wp: 1 / (sigma * sigma)}
 }
 
+// slopeCost evaluates the stage-1 objective at position p: the
+// weighted variance of e_i = k_i − 4π·d_i/c across antennas (the
+// common offset k_t is profiled out). It returns the cost and the
+// profiled k_t.
 func slopeCost(obs []Observation, p geom.Vec3, prior ktPrior) (cost, kt float64) {
 	// Two passes over the (3–4) observations, recomputing the residual
 	// in the second: cheaper than heap-allocating scratch slices in

@@ -333,8 +333,8 @@ var (
 	polarCoarseTab  *angleGrid
 )
 
-// alphaGrid is the 1° grid over α ∈ [0, π) used by the 2D orientation
-// refinement and the detached 2D ablation.
+// alphaGrid is the 1° grid over α ∈ [0, π) used by the detached 2D
+// ablation (solveDetached2D).
 func alphaGrid() *angleGrid {
 	alphaGridOnce.Do(func() {
 		g := &angleGrid{}
