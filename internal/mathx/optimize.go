@@ -131,7 +131,6 @@ func (w *LMWorkspace) Solve(prob LMProblem, p0 []float64, opts LMOptions) (LMRes
 	if prob.NumResiduals < prob.NumParams {
 		return LMResult{}, fmt.Errorf("mathx: %d residuals cannot determine %d parameters", prob.NumResiduals, prob.NumParams)
 	}
-
 	if prob.Jacobian == nil {
 		return LMResult{}, errors.New("mathx: LMProblem.Jacobian is required")
 	}
